@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -43,7 +44,6 @@ from .ultra import (
     ultrametric_from_covers,
     verify_ball_properties,
     verify_base_equality,
-    verify_ultrametric,
 )
 
 MAX_DEPTH_ENV = "BAIRECF_MAX_DEPTH"
@@ -57,6 +57,10 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
+
+
+# argparse's negative-number pattern plus p/q, so that "-3/2" is read as a value
+_NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
 @dataclass(frozen=True)
@@ -333,9 +337,8 @@ def _cmd_ultra_build(args) -> _Output:
 
 
 def _cmd_ultra_verify(args) -> _Output:
-    table = table_from_json(_load_json(args.table))
-    um = verify_ultrametric(table)
-    bp = verify_ball_properties(table)
+    bp = verify_ball_properties(table_from_json(_load_json(args.table)))
+    um = bp.ultrametric
     checks = [
         ("strong_triangle", um.strong_triangle),
         ("isosceles", um.isosceles),
@@ -412,6 +415,7 @@ def build_parser() -> _Parser:
     cf_sub = cf_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
     sp = cf_sub.add_parser("expand", help="canonical word of a rational")
     sp.add_argument("value", help='rational, like "355/113"')
+    sp._negative_number_matcher = _NEGATIVE_RATIONAL
     _add_json(sp)
     sp.set_defaults(handler=_cmd_cf_expand)
     sp = cf_sub.add_parser("eval", help="exact value of a word")
@@ -420,6 +424,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_cf_eval)
     sp = cf_sub.add_parser("convergents", help="prefix values of a rational's word")
     sp.add_argument("value", help='rational, like "355/113"')
+    sp._negative_number_matcher = _NEGATIVE_RATIONAL
     _add_json(sp)
     sp.set_defaults(handler=_cmd_cf_convergents)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .baire import BairePrefix
@@ -38,45 +39,45 @@ def _fmt_set(s: Iterable) -> str:
 
 
 class DistanceTable:
-    """Symmetric table of exact positive distances over a finite id set."""
+    """Symmetric table of exact positive distances over a finite id set.
+
+    ``matrix[i][j]`` is the distance between ``points[i]`` and ``points[j]``
+    (zero on the diagonal); ``index`` maps each point to its position.
+    """
 
     def __init__(self, points: Iterable, distances: Mapping):
         pts = list(points)
         if len(set(pts)) != len(pts):
             raise ValueError("duplicate point ids")
         self.points: tuple = tuple(sorted(pts, key=_id_key))
-        known = set(self.points)
-        d: dict[frozenset, Fraction] = {}
+        self.index: dict = {x: i for i, x in enumerate(self.points)}
+        n = len(self.points)
+        m: list[list] = [[None] * n for _ in range(n)]
         for key, value in distances.items():
             pair = tuple(key)
             if len(pair) != 2:
                 raise ValueError(f"distance key is not a pair: {key!r}")
             x, y = pair
-            if x not in known or y not in known:
+            if x not in self.index or y not in self.index:
                 raise ValueError(f"unknown point in pair {key!r}")
             if x == y:
                 raise ValueError(f"diagonal entry for {x!r}; d(x, x) = 0 is implicit")
             v = Fraction(value)
             if v <= 0:
                 raise ValueError(f"distance for ({x!r}, {y!r}) must be positive, got {v}")
-            pk = frozenset((x, y))
-            if pk in d and d[pk] != v:
+            i, j = self.index[x], self.index[y]
+            if m[i][j] is not None and m[i][j] != v:
                 raise ValueError(f"conflicting distances for ({x!r}, {y!r})")
-            d[pk] = v
-        n = len(self.points)
-        if len(d) != n * (n - 1) // 2:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if frozenset((self.points[i], self.points[j])) not in d:
-                        raise ValueError(
-                            f"missing distance for ({self.points[i]!r}, {self.points[j]!r})"
-                        )
-        self._d = d
+            m[i][j] = m[j][i] = v
+        for i, row in enumerate(m):
+            row[i] = Fraction(0)
+            if any(v is None for v in row):
+                j = row.index(None)
+                raise ValueError(f"missing distance for ({self.points[i]!r}, {self.points[j]!r})")
+        self.matrix: list[list[Fraction]] = m
 
     def d(self, x, y) -> Fraction:
-        if x == y:
-            return Fraction(0)
-        return self._d[frozenset((x, y))]
+        return self.matrix[self.index[x]][self.index[y]]
 
     def pairs(self):
         pts = self.points
@@ -86,10 +87,10 @@ class DistanceTable:
 
     def values(self) -> list[Fraction]:
         """Distinct positive distances, ascending."""
-        return sorted(set(self._d.values()))
+        return sorted({v for i, row in enumerate(self.matrix) for v in row[i + 1 :]})
 
     def same_table(self, other: "DistanceTable") -> bool:
-        return self.points == other.points and self._d == other._d
+        return self.points == other.points and self.matrix == other.matrix
 
     def as_json(self) -> dict:
         return {
@@ -103,18 +104,18 @@ class FiniteSpace(DistanceTable):
 
     def __init__(self, points: Iterable, distances: Mapping):
         super().__init__(points, distances)
-        pts = self.points
-        for i in range(len(pts)):
+        pts, m = self.points, self.matrix
+        for i, row_i in enumerate(m):
             for j in range(i + 1, len(pts)):
-                dij = self.d(pts[i], pts[j])
-                for k in range(len(pts)):
-                    if k == i or k == j:
-                        continue
-                    if dij > self.d(pts[i], pts[k]) + self.d(pts[k], pts[j]):
-                        raise ValueError(
-                            f"triangle inequality fails: d({pts[i]!r}, {pts[j]!r}) = {dij} "
-                            f"> d(.., {pts[k]!r}) sum"
-                        )
+                row_j, dij = m[j], row_i[j]
+                # k = i and k = j give the sum dij itself, so only a detour can be shorter
+                if min(map(add, row_i, row_j)) < dij:
+                    k = next(k for k in range(len(pts)) if row_i[k] + row_j[k] < dij)
+                    x, y, z = pts[i], pts[j], pts[k]
+                    raise ValueError(
+                        f"triangle inequality fails: d({x!r}, {y!r}) = {dij} > "
+                        f"d({x!r}, {z!r}) + d({z!r}, {y!r}) = {row_i[k]} + {row_j[k]}"
+                    )
 
 
 def table_from_json(obj, require_metric: bool = False) -> DistanceTable:
@@ -222,27 +223,20 @@ def covers_from_json(obj) -> CoverSequence:
     return CoverSequence(obj["levels"])
 
 
-def _ball(table: DistanceTable, x, r: Fraction) -> frozenset:
-    return frozenset(y for y in table.points if table.d(x, y) < r)
+def _ball(table: DistanceTable, i: int, r: Fraction) -> frozenset:
+    """Open ball of radius r around the point at position i."""
+    return frozenset(y for y, v in zip(table.points, table.matrix[i]) if v < r)
 
 
-def _closed_ball(table: DistanceTable, x, r: Fraction) -> frozenset:
-    return frozenset(y for y in table.points if table.d(x, y) <= r)
+def _radii(table: DistanceTable) -> list[Fraction]:
+    """Occurring positive distances, ascending, then one radius past the largest.
 
-
-def _radii(table: DistanceTable, include_beyond_max: bool = False) -> list[Fraction]:
-    """Occurring positive distances plus midpoints between consecutive values.
-
-    These radii realize every distinct open ball with radius up to the largest
-    distance; one radius past the maximum realizes the whole space as a ball.
+    These radii realize every distinct open ball: a radius between two
+    consecutive distances gives the balls of the larger one, and the radius
+    past the maximum gives the whole space.
     """
     vals = table.values()
-    with_zero = [Fraction(0)] + vals
-    mids = [(a + b) / 2 for a, b in zip(with_zero, with_zero[1:])]
-    rs = sorted(set(vals) | set(mids))
-    if include_beyond_max:
-        rs.append((vals[-1] if vals else Fraction(0)) + 1)
-    return rs
+    return vals + [(vals[-1] if vals else Fraction(0)) + 1]
 
 
 def build_cover_sequence(space: FiniteSpace, depth: int) -> CoverSequence:
@@ -259,7 +253,7 @@ def build_cover_sequence(space: FiniteSpace, depth: int) -> CoverSequence:
     prev: list[frozenset] = [ground]
     for i in range(depth):
         radius = Fraction(1, 2 ** (i + 2))
-        balls = [_ball(space, x, radius) for x in pts]
+        balls = [_ball(space, k, radius) for k in range(len(pts))]
         pieces = [nb & u for u in prev for nb in balls]
         level = disjointify(pieces, ground)
         levels.append(level)
@@ -322,14 +316,13 @@ def verify_ultrametric(table: DistanceTable) -> UltrametricReport:
     """Strong triangle inequality plus the two-largest-sides-equal property."""
     strong = PropertyCheck.ok()
     isosceles = PropertyCheck.ok()
-    pts = table.points
+    pts, m = table.points, table.matrix
     n = len(pts)
-    for i in range(n):
+    for i, row_i in enumerate(m):
         for j in range(i + 1, n):
-            dij = table.d(pts[i], pts[j])
+            row_j, dij = m[j], row_i[j]
             for k in range(j + 1, n):
-                dik = table.d(pts[i], pts[k])
-                djk = table.d(pts[j], pts[k])
+                dik, djk = row_i[k], row_j[k]
                 sides = sorted(
                     [(dij, pts[i], pts[j]), (dik, pts[i], pts[k]), (djk, pts[j], pts[k])]
                     , key=lambda t: t[0]
@@ -351,12 +344,19 @@ def verify_ultrametric(table: DistanceTable) -> UltrametricReport:
 
 @dataclass(frozen=True)
 class BallPropertiesReport:
-    precondition_ultrametric: PropertyCheck
+    ultrametric: UltrametricReport
     nesting: PropertyCheck
     same_radius_coincide: PropertyCheck
     every_point_centers: PropertyCheck
     closed_ball_absorption: PropertyCheck
     equal_radius_partition: PropertyCheck
+
+    @property
+    def precondition_ultrametric(self) -> PropertyCheck:
+        um = self.ultrametric
+        return PropertyCheck(
+            um.all_passed, um.strong_triangle.counterexample or um.isosceles.counterexample
+        )
 
     @property
     def all_passed(self) -> bool:
@@ -385,32 +385,30 @@ class BallPropertiesReport:
 
 
 def verify_ball_properties(table: DistanceTable) -> BallPropertiesReport:
-    """Open-ball behaviour at every radius that can change a ball.
+    """Open-ball behaviour at every radius from ``_radii``.
 
-    Radii are the occurring distances and the midpoints between consecutive
-    occurring values (including zero).
+    On a finite table the closed ball of radius v_k is the open ball at the
+    next radius in the list, so absorption at one radius is checked against
+    the open balls of the next, and only two radii's balls are alive at once.
     """
     um = verify_ultrametric(table)
     if not um.all_passed:
-        pre = PropertyCheck.fail(
-            um.strong_triangle.counterexample or um.isosceles.counterexample
-        )
         skipped = PropertyCheck.fail("not checked: table is not an ultrametric")
-        return BallPropertiesReport(pre, skipped, skipped, skipped, skipped, skipped)
+        return BallPropertiesReport(um, skipped, skipped, skipped, skipped, skipped)
 
     pts = table.points
     all_points = frozenset(pts)
-    radii = _radii(table)
     nesting = PropertyCheck.ok()
     coincide = PropertyCheck.ok()
     centers = PropertyCheck.ok()
     absorption = PropertyCheck.ok()
     partition = PropertyCheck.ok()
+    prev_ball_of: dict = {}
     prev_distinct: list[frozenset] = []
     prev_r: Fraction | None = None
 
-    for r in radii:
-        ball_of = {x: _ball(table, x, r) for x in pts}
+    for r in _radii(table):
+        ball_of = {x: _ball(table, i, r) for i, x in enumerate(pts)}
         owner: dict[frozenset, set] = {}
         for x in pts:
             owner.setdefault(ball_of[x], set()).add(x)
@@ -435,12 +433,14 @@ def verify_ball_properties(table: DistanceTable) -> BallPropertiesReport:
                         f"radius {r}: ball at {y} differs from the ball {_fmt_set(b)}"
                     )
                     break
-        if absorption.passed:
-            for s_set in {_closed_ball(table, y, r) for y in pts}:
+        if absorption.passed and prev_r is not None:
+            # the closed balls at prev_r are the open balls at r; at the last
+            # radius every ball is the whole space, so absorption is trivial there
+            for s_set in distinct:
                 for x in s_set:
-                    if not ball_of[x] <= s_set:
+                    if not prev_ball_of[x] <= s_set:
                         absorption = PropertyCheck.fail(
-                            f"radius {r}: open ball at {x} leaves the closed ball "
+                            f"radius {prev_r}: open ball at {x} leaves the closed ball "
                             f"{_fmt_set(s_set)}"
                         )
                         break
@@ -464,12 +464,9 @@ def verify_ball_properties(table: DistanceTable) -> BallPropertiesReport:
                         f"{_fmt_set(c)}"
                     )
                     break
-        prev_distinct = distinct
-        prev_r = r
+        prev_ball_of, prev_distinct, prev_r = ball_of, distinct, r
 
-    return BallPropertiesReport(
-        PropertyCheck.ok(), nesting, coincide, centers, absorption, partition
-    )
+    return BallPropertiesReport(um, nesting, coincide, centers, absorption, partition)
 
 
 @dataclass(frozen=True)
@@ -494,18 +491,14 @@ class BaseEqualityReport:
 def verify_base_equality(seq: CoverSequence, table: DistanceTable) -> BaseEqualityReport:
     """Ball system == all partition blocks plus the whole space.
 
-    Open-ball radii follow the bracketing 1/(n+1) < r <= 1/n, which maps each
-    radius band to one partition level; a single radius past the maximum
-    distance realizes the whole space.
+    The open balls at the radii from ``_radii`` are all the distinct open
+    balls: the one at a distance 1/(k+1) is a level-k block, and the one past
+    the largest distance is the whole space.
     """
     expected = ultrametric_from_covers(seq, seq.ground)
     if not expected.same_table(table):
         raise ValueError("table is not the ultrametric read off the cover sequence")
-    balls = {
-        _ball(table, x, r)
-        for r in _radii(table, include_beyond_max=True)
-        for x in table.points
-    }
+    balls = {_ball(table, i, r) for r in _radii(table) for i in range(len(table.points))}
     base = {b for blocks in seq.levels for b in blocks} | {seq.ground}
     if balls == base:
         check = PropertyCheck.ok()

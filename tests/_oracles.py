@@ -3,7 +3,8 @@
 Nothing here calls the expansion or comparison code under test: periodic
 words become surds by solving the period's fixed-point quadratic, and order
 against a rational is decided with integer square-root bounds at growing
-precision.
+precision.  Finite distance tables are read only through ``points`` and
+``d``; balls, radii and the ball phenomena are rebuilt by brute force.
 """
 
 from fractions import Fraction
@@ -68,3 +69,68 @@ NAMED_SURDS = {
     "golden": QuadraticSurd(1, 1, 5, 2),
     "minus_sqrt2": QuadraticSurd(0, -1, 2),
 }
+
+
+# --- finite tables: brute-force balls over the midpoint radii ---
+
+
+def triangle_failure(table):
+    """First (x, y, z) with d(x, y) > d(x, z) + d(z, y), scanning x before y, z ascending."""
+    pts = table.points
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            for z in pts:
+                if z not in (x, y) and table.d(x, y) > table.d(x, z) + table.d(z, y):
+                    return x, y, z
+    return None
+
+
+def midpoint_radii(table) -> list:
+    """Occurring distances, the midpoints between consecutive ones (from zero)
+    and one radius past the largest."""
+    vals = sorted({table.d(x, y) for x in table.points for y in table.points if x != y})
+    with_zero = [Fraction(0)] + vals
+    mids = [(a + b) / 2 for a, b in zip(with_zero, with_zero[1:])]
+    return sorted(set(vals) | set(mids)) + [with_zero[-1] + 1]
+
+
+def open_ball(table, x, r) -> frozenset:
+    return frozenset(y for y in table.points if table.d(x, y) < r)
+
+
+def closed_ball(table, x, r) -> frozenset:
+    return frozenset(y for y in table.points if table.d(x, y) <= r)
+
+
+def ball_system(table, radii) -> set:
+    """Distinct open balls over the given radii."""
+    return {open_ball(table, x, r) for r in radii for x in table.points}
+
+
+def ball_properties_hold(table) -> bool:
+    """Strong triangle inequality, then the open-ball phenomena at every
+    midpoint radius: same-radius balls equal or disjoint, every member a
+    center, closed balls absorb the open balls of their members, and balls
+    nest across consecutive radii."""
+    pts = table.points
+    for x in pts:
+        for y in pts:
+            for z in pts:
+                if table.d(x, y) > max(table.d(x, z), table.d(z, y)):
+                    return False
+    prev = None
+    for r in midpoint_radii(table):
+        ball = {x: open_ball(table, x, r) for x in pts}
+        for x in pts:
+            for y in pts:
+                if ball[x] != ball[y] and ball[x] & ball[y]:
+                    return False
+            if any(ball[y] != ball[x] for y in ball[x]):
+                return False
+            closed = closed_ball(table, x, r)
+            if any(not ball[y] <= closed for y in closed):
+                return False
+            if prev is not None and not prev[x] <= ball[x]:
+                return False
+        prev = ball
+    return True

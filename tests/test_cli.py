@@ -23,6 +23,19 @@ def test_cf_commands():
     assert res.out.splitlines() == ["1", "3/2", "7/5", "17/12"]
 
 
+def test_cf_negative_rational_needs_no_separator():
+    for value in (["-3/2"], ["--", "-3/2"]):
+        res = run(["cf", "expand", *value])
+        assert (res.exit_code, res.out, res.err) == (0, "[-2; 2]", "")
+        res = run(["cf", "convergents", *value])
+        assert (res.exit_code, res.out.splitlines(), res.err) == (0, ["-2", "-3/2"], "")
+    res = run(["cf", "convergents", "-3/2", "--json"])
+    assert json.loads(res.out)["convergents"] == ["-2", "-3/2"]
+    # other arguments still read a leading minus as an option
+    res = run(["baire", "ball", "(1)", "-1/2"])
+    assert res.exit_code == 2
+
+
 def test_cf_expand_json_payload():
     res = run(["cf", "expand", "355/113", "--json"])
     assert res.exit_code == 0

@@ -5,6 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import (
+    ball_properties_hold,
+    ball_system,
+    closed_ball,
+    midpoint_radii,
+    triangle_failure,
+)
 from bairecf import (
     CoverSequence,
     Distance,
@@ -22,6 +29,7 @@ from bairecf import (
     verify_base_equality,
     verify_ultrametric,
 )
+from bairecf.ultra import _ball, _radii
 
 
 def _table(points, triples):
@@ -69,8 +77,32 @@ def test_distance_table_rejects_bad_input():
 
 def test_finite_space_requires_triangle_inequality():
     _space("abc", [("a", "b", 1), ("a", "c", 1), ("b", "c", 2)])
-    with pytest.raises(ValueError, match="triangle"):
+    with pytest.raises(ValueError) as exc:
         _space("abc", [("a", "b", 5), ("a", "c", 1), ("b", "c", 1)])
+    assert str(exc.value) == (
+        "triangle inequality fails: d('a', 'b') = 5 > d('a', 'c') + d('c', 'b') = 1 + 1"
+    )
+
+
+def test_finite_space_reports_first_failing_triple():
+    rng = random.Random(3131)
+    failures = 0
+    for _ in range(300):
+        table = _random_table(rng, rng.randint(1, 8))
+        bad = triangle_failure(table)
+        dist = {(x, y): table.d(x, y) for x, y in table.pairs()}
+        if bad is None:
+            FiniteSpace(table.points, dist)
+            continue
+        failures += 1
+        x, y, z = bad
+        with pytest.raises(ValueError) as exc:
+            FiniteSpace(table.points, dist)
+        assert str(exc.value) == (
+            f"triangle inequality fails: d({x!r}, {y!r}) = {table.d(x, y)} > "
+            f"d({x!r}, {z!r}) + d({z!r}, {y!r}) = {table.d(x, z)} + {table.d(z, y)}"
+        )
+    assert 0 < failures < 300
 
 
 def test_disjointify_examples():
@@ -268,6 +300,10 @@ def test_verify_ball_properties_reports_precondition():
     )
     rep = verify_ball_properties(euclid)
     assert not rep.precondition_ultrametric.passed
+    assert rep.precondition_ultrametric.counterexample == (
+        rep.ultrametric.strong_triangle.counterexample
+    )
+    assert rep.ultrametric == verify_ultrametric(euclid)
     assert not rep.all_passed
     assert "not checked" in rep.nesting.counterexample
 
@@ -293,6 +329,73 @@ def test_verify_base_equality_discrete_and_trivial():
     rep = verify_base_equality(one, t)
     assert rep.all_passed
     assert rep.ball_system_size == 1
+
+
+def _random_table(rng, n):
+    """Arbitrary positive distances from a small pool, so ties are common."""
+    dist = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[(i, j)] = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+    return DistanceTable(range(n), dist)
+
+
+def _merge_tree_table(rng, n):
+    """Ultrametric of a random merge tree: clusters join at non-decreasing heights."""
+    clusters = [[i] for i in range(n)]
+    dist = {}
+    height = Fraction(0)
+    while len(clusters) > 1:
+        if height == 0 or rng.random() < 0.6:
+            height += Fraction(rng.randint(1, 4), rng.randint(1, 4))
+        a, b = sorted(rng.sample(range(len(clusters)), 2))
+        dist.update({(x, y): height for x in clusters[a] for y in clusters[b]})
+        clusters[a] += clusters.pop(b)
+    return DistanceTable(range(n), dist)
+
+
+def _random_covers(rng, n):
+    """Random refining partitions of range(n), ending in singletons."""
+    levels = []
+    blocks = [list(range(n))]
+    while len(blocks) < n or not levels:
+        nxt = []
+        for b in blocks:
+            rng.shuffle(b)
+            cut = rng.randint(1, len(b)) if len(b) > 1 and rng.random() < 0.5 else len(b)
+            nxt += [part for part in (b[:cut], b[cut:]) if part]
+        levels.append(nxt)
+        blocks = nxt
+    return CoverSequence(levels)
+
+
+def test_ball_sweep_matches_midpoint_oracle():
+    rng = random.Random(8181)
+    passed = 0
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        table = _merge_tree_table(rng, n) if trial % 2 else _random_table(rng, n)
+        radii = _radii(table)
+        swept = {_ball(table, i, r) for r in radii for i in range(n)}
+        assert swept == ball_system(table, midpoint_radii(table))
+        for r, nxt in zip(radii, radii[1:]):
+            for i, x in enumerate(table.points):
+                assert closed_ball(table, x, r) == _ball(table, i, nxt)
+        expected = ball_properties_hold(table)
+        assert expected or trial % 2 == 0
+        assert verify_ball_properties(table).all_passed == expected
+        passed += expected
+    assert 150 < passed < 300
+
+
+def test_base_equality_ball_system_matches_oracle():
+    rng = random.Random(9191)
+    for _ in range(150):
+        seq = _random_covers(rng, rng.randint(1, 12))
+        table = ultrametric_from_covers(seq, seq.ground)
+        rep = verify_base_equality(seq, table)
+        assert rep.all_passed
+        assert rep.ball_system_size == len(ball_system(table, midpoint_radii(table)))
 
 
 def test_verify_base_equality_rejects_foreign_table():
