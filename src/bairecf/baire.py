@@ -181,17 +181,17 @@ WHOLE_SPACE = _WholeSpace()
 def cylinder_of_ball(f: _SeqPoint, r: Fraction) -> "tuple[int, ...] | _WholeSpace":
     """The prefix whose cylinder equals the open ball around f of radius r.
 
-    For r > 1 the ball is everything.  Otherwise the cylinder fixes indices
-    0..m-1 where m >= 2 is the unique integer with 1/m < r <= 1/(m-1).
+    For r > 1 the ball is everything.  Otherwise g is in the ball exactly when
+    its first difference k from f has 1/(k+1) < r, that is k >= m for the
+    unique integer m >= 1 with 1/(m+1) < r <= 1/m; so the cylinder fixes
+    indices 0..m-1, with m = floor(1/r).
     """
     r = Fraction(r)
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
     if r > 1:
         return WHOLE_SPACE
-    inv = 1 / r
-    m = inv.numerator // inv.denominator + 1
-    return f.prefix(m)
+    return f.prefix(r.denominator // r.numerator)
 
 
 def _zigzag(n: int) -> int:

@@ -4,7 +4,9 @@ A finite word (a0, a1, ..., an) denotes a0 + 1/(a1 + 1/(... + 1/an)), with a0
 any integer and every later digit a positive integer.  Canonical words (the
 ``CFWord`` type) additionally end in a digit >= 2 whenever they are longer
 than one digit, which makes rational -> word one-to-one.  Evaluation and tail
-substitution accept arbitrary valid digit sequences, canonical or not.
+substitution accept arbitrary valid digit sequences, canonical or not.  Values,
+tails and convergents all come from one integer fold of the convergent
+recurrence (Khinchin, *Continued Fractions*, section 2).
 """
 
 from __future__ import annotations
@@ -71,43 +73,46 @@ def expand_rational(x: Fraction) -> CFWord:
     return CFWord(tuple(digits))
 
 
+_EMPTY = (1, 0, 0, 1)  # (p_n, q_n, p_{n-1}, q_{n-1}) of the empty word
+
+
+def _fold(digits: Sequence[int], state: tuple[int, int, int, int] = _EMPTY):
+    """Push digits onto (p_n, q_n, p_{n-1}, q_{n-1}) by p_n = a*p_{n-1} + p_{n-2}, likewise q.
+
+    After a whole word p_n/q_n is its value and (p_n + p_{n-1})/(q_n + q_{n-1})
+    the value with its last digit bumped; every q is positive after the head.
+    """
+    p, q, p0, q0 = state
+    for a in digits:
+        p, q, p0, q0 = a * p + p0, a * q + q0, p, q
+    return p, q, p0, q0
+
+
 def evaluate(w: "CFWord | Sequence[int]") -> Fraction:
-    """Exact value, folded back to front."""
-    digits = _as_digits(w)
-    acc = Fraction(digits[-1])
-    for a in reversed(digits[:-1]):
-        acc = a + 1 / acc
-    return acc
+    """Exact value p_n/q_n of a word."""
+    p, q, _, _ = _fold(_as_digits(w))
+    return Fraction(p, q)
 
 
 def evaluate_with_tail(prefix: Sequence[int], x: Fraction) -> Fraction:
-    """Value of (prefix..., x): the word with a rational x > 0 in the last slot."""
+    """Value of (prefix..., x) for a rational x = n/d > 0 in the last slot:
+    (p*n + p'*d)/(q*n + q'*d), with p/q and p'/q' the prefix's last two convergents."""
     x = Fraction(x)
     if x <= 0:
         raise ValueError(f"tail value must be positive, got {x}")
-    if isinstance(prefix, CFWord):
-        digits = prefix.digits
-    else:
-        digits = tuple(prefix)
-        if digits:
-            _as_digits(digits, "prefix")
-    acc = x
-    for a in reversed(digits):
-        acc = a + 1 / acc
-    return acc
+    digits = tuple(prefix)
+    p, q, p0, q0 = _fold(_as_digits(digits, "prefix")) if digits else _EMPTY
+    n, d = x.numerator, x.denominator
+    return Fraction(p * n + p0 * d, q * n + q0 * d)
 
 
 def convergents(w: "CFWord | Sequence[int]") -> list[Fraction]:
-    """Values of all prefixes, via the standard numerator/denominator recurrence."""
-    digits = _as_digits(w)
+    """Values of all prefixes, read off the convergent state after each digit."""
     out = []
-    p0, q0 = 1, 0
-    p1, q1 = digits[0], 1
-    out.append(Fraction(p1, q1))
-    for a in digits[1:]:
-        p1, p0 = a * p1 + p0, p1
-        q1, q0 = a * q1 + q0, q1
-        out.append(Fraction(p1, q1))
+    state = _EMPTY
+    for a in _as_digits(w):
+        state = _fold((a,), state)
+        out.append(Fraction(state[0], state[1]))
     return out
 
 

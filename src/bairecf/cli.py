@@ -6,7 +6,8 @@ success, 1 for bad input or unreadable files, 2 for usage errors, 3 when a
 verification command ran and found a violation.
 
 Depth-like arguments (--depth, --bound, --max-level) are capped by the
-BAIRECF_MAX_DEPTH environment variable (default 64).
+BAIRECF_MAX_DEPTH environment variable (default 64); ``cover verify`` slices
+are capped at MAX_COVER_WORDS words before anything is built.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .ultra import (
 
 MAX_DEPTH_ENV = "BAIRECF_MAX_DEPTH"
 DEFAULT_MAX_DEPTH = 64
+MAX_COVER_WORDS = 131_072  # the default cover slice through level 7 is 109 225 words
 
 
 class UsageError(Exception):
@@ -186,19 +188,11 @@ def _cmd_baire_ball(args) -> _Output:
     f = parse_point(args.point, cls)
     r = parse_rational(args.radius)
     cyl = cylinder_of_ball(f, r)
-    if cyl is WHOLE_SPACE:
-        return _Output(
-            {"point": format_point(f), "radius": str(r), "whole_space": True, "cylinder": None},
-            "whole space",
-        )
+    whole = cyl is WHOLE_SPACE
     return _Output(
-        {
-            "point": format_point(f),
-            "radius": str(r),
-            "whole_space": False,
-            "cylinder": list(cyl),
-        },
-        format_point(cls(cyl)),
+        {"point": format_point(f), "radius": str(r), "whole_space": whole,
+         "cylinder": None if whole else list(cyl)},
+        "whole space" if whole else format_point(cls(cyl)),
     )
 
 
@@ -253,6 +247,15 @@ def _cmd_cover_locate(args) -> _Output:
 
 def _cmd_cover_verify(args) -> _Output:
     max_level = _capped(args.max_level, "max level")
+    # Count words until they pass the budget; bad ranges are left to the verifier.
+    words, per_level = 0, args.a0_hi - args.a0_lo + 1
+    for _ in range(max_level + 1):
+        words += per_level
+        if words > MAX_COVER_WORDS:
+            raise ValueError(
+                f"slice of at least {words} words exceeds the budget {MAX_COVER_WORDS}"
+            )
+        per_level *= max(args.digit_max, 0)
     report = verify_cover_properties(max_level, (args.a0_lo, args.a0_hi), args.digit_max)
     checks = [
         ("disjoint", report.disjoint),
@@ -366,8 +369,7 @@ def _cmd_ultra_base_eq(args) -> _Output:
         space = table_from_json(_load_json(args.source), require_metric=True)
         depth = _capped(args.depth, "depth")
         seq = build_cover_sequence(space, depth)
-    table = ultrametric_from_covers(seq, seq.ground)
-    rep = verify_base_equality(seq, table)
+    rep = verify_base_equality(seq)
     lines = [
         _render_checks([("equality", rep.equality)]),
         f"ball_system_size: {rep.ball_system_size}",

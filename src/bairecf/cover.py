@@ -2,12 +2,14 @@
 
 A word (a0, ..., an) of length n+1 names a member of the level-n family: the
 open interval between the word's value and the value with its last digit
-bumped by one.  Bumping the last digit raises the value at even levels and
-lowers it at odd levels, so endpoints are normalized to lo < hi regardless of
-the level's parity.  Each level's members are pairwise disjoint, children
-refine their parent, closures of grandchildren sit inside the open grandparent
-(the shared-endpoint caveat lives one level up, between parent and child), and
-member lengths at level n shrink below 1/(n+1) for n >= 1.
+bumped by one, that is p_n/q_n and (p_n + p_{n-1})/(q_n + q_{n-1}), both
+read off one fold of the word's digits.  Bumping the last digit raises the
+value at even levels and lowers it at odd levels, so endpoints are normalized
+to lo < hi regardless of the level's parity.  Each level's members are
+pairwise disjoint, children refine their parent, closures of grandchildren sit
+inside the open grandparent (the shared-endpoint caveat lives one level up,
+between parent and child), and member lengths at level n shrink below 1/(n+1)
+for n >= 1.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cf import _as_digits, evaluate, expand_surd
+from .cf import _as_digits, _fold, expand_surd
 from .report import PropertyCheck
 from .surd import QuadraticSurd
 
@@ -64,14 +66,18 @@ class IntervalQ:
         return f"({self.lo}, {self.hi})"
 
 
-def interval_of(word: Sequence[int]) -> IntervalQ:
-    """The open interval named by a digit word; level = len(word) - 1."""
-    digits = _as_digits(word, "word")
-    v = evaluate(digits)
-    v_bumped = evaluate(digits[:-1] + (digits[-1] + 1,))
-    if v < v_bumped:
+def _interval(state: tuple[int, int, int, int]) -> IntervalQ:
+    # p/q versus (p + p0)/(q + q0), both denominators positive
+    p, q, p0, q0 = state
+    v, v_bumped = Fraction(p, q), Fraction(p + p0, q + q0)
+    if p * q0 < p0 * q:
         return IntervalQ(v, v_bumped)
     return IntervalQ(v_bumped, v)
+
+
+def interval_of(word: Sequence[int]) -> IntervalQ:
+    """The open interval named by a digit word; level = len(word) - 1."""
+    return _interval(_fold(_as_digits(word, "word")))
 
 
 @dataclass(frozen=True)
@@ -145,16 +151,13 @@ def _check_disjoint(levels: list[list[CoverMember]]) -> PropertyCheck:
     return PropertyCheck.ok()
 
 
-def _check_refinement(
-    levels: list[list[CoverMember]], by_word: dict[tuple[int, ...], CoverMember]
-) -> PropertyCheck:
+def _check_refinement(levels: list[list[CoverMember]], digit_max: int) -> PropertyCheck:
     for level_index in range(1, len(levels)):
-        parents = sorted(levels[level_index - 1], key=lambda m: m.interval.lo)
+        prev = levels[level_index - 1]
+        parents = sorted(prev, key=lambda m: m.interval.lo)
         keys = [m.interval.lo for m in parents]
-        for m in levels[level_index]:
-            parent = by_word.get(m.word[:-1])
-            if parent is None:
-                return PropertyCheck.fail(f"{m.word}: parent word not enumerated")
+        for c, m in enumerate(levels[level_index]):
+            parent = prev[c // digit_max]
             if not parent.interval.contains_interval(m.interval):
                 return PropertyCheck.fail(
                     f"{m.word} {m.interval} not inside parent {parent.word} {parent.interval}"
@@ -171,14 +174,13 @@ def _check_refinement(
     return PropertyCheck.ok()
 
 
-def _check_closure_refinement(
-    levels: list[list[CoverMember]], by_word: dict[tuple[int, ...], CoverMember]
-) -> PropertyCheck:
+def _check_closure_refinement(levels: list[list[CoverMember]], digit_max: int) -> PropertyCheck:
     # Closures poke out one level up through the shared endpoint of the k=1
     # child, but sit strictly inside the open interval two levels up.
-    for members in levels[2:]:
-        for m in members:
-            grand = by_word[m.word[:-2]]
+    for level_index in range(2, len(levels)):
+        grands = levels[level_index - 2]
+        for c, m in enumerate(levels[level_index]):
+            grand = grands[c // digit_max**2]
             if not grand.interval.contains_closure_of(m.interval):
                 return PropertyCheck.fail(
                     f"closure of {m.word} {m.interval} not inside {grand.word} {grand.interval}"
@@ -191,29 +193,21 @@ def _check_mesh(levels: list[list[CoverMember]]) -> tuple[PropertyCheck, dict[in
     # at 1/2, attained at k = 1, so the bound is non-strict there.  From level
     # 2 on the strict bound 1/(level+1) holds.
     max_by_level: dict[int, Fraction] = {}
-    check = PropertyCheck.ok()
     for level_index, members in enumerate(levels):
         max_by_level[level_index] = max(m.interval.length for m in members)
+        bound = Fraction(1, level_index + 1)
         for m in members:
             length = m.interval.length
-            if level_index == 0:
-                if length != 1:
-                    check = PropertyCheck.fail(f"level-0 member {m.word} has length {length} != 1")
-                    break
-            elif level_index == 1:
-                if length > Fraction(1, 2):
-                    check = PropertyCheck.fail(
-                        f"level-1 member {m.word} has length {length} > 1/2"
-                    )
-                    break
-            elif length >= Fraction(1, level_index + 1):
-                check = PropertyCheck.fail(
-                    f"level-{level_index} member {m.word} has length {length} >= 1/{level_index + 1}"
-                )
-                break
-        if not check.passed:
-            break
-    return check, max_by_level
+            if level_index == 0 and length != 1:
+                fail = f"level-0 member {m.word} has length {length} != 1"
+            elif level_index == 1 and length > bound:
+                fail = f"level-1 member {m.word} has length {length} > 1/2"
+            elif level_index >= 2 and length >= bound:
+                fail = f"level-{level_index} member {m.word} has length {length} >= {bound}"
+            else:
+                continue
+            return PropertyCheck.fail(fail), max_by_level
+    return PropertyCheck.ok(), max_by_level
 
 
 def verify_cover_properties(
@@ -222,7 +216,8 @@ def verify_cover_properties(
     """Exhaustively check the family's advertised behaviour on a finite slice.
 
     Enumerates every word up to max_level with first digit in a0_range
-    (inclusive) and later digits in 1..digit_max.
+    (inclusive) and later digits in 1..digit_max, parent-major: the children
+    of a member are consecutive, so member c's parent is member c // digit_max.
     """
     a0_lo, a0_hi = a0_range
     if max_level < 0:
@@ -232,18 +227,20 @@ def verify_cover_properties(
     if digit_max < 1:
         raise ValueError(f"digit_max must be >= 1, got {digit_max}")
 
-    levels: list[list[CoverMember]] = [
-        [member_of((a0,)) for a0 in range(a0_lo, a0_hi + 1)]
-    ]
-    for _ in range(max_level):
-        levels.append(
-            [member_of(m.word + (k,)) for m in levels[-1] for k in range(1, digit_max + 1)]
-        )
-    by_word = {m.word: m for members in levels for m in members}
+    # Each child pushes one digit onto its parent's state; only the current
+    # level's states are kept.
+    heads, digits = range(a0_lo, a0_hi + 1), range(1, digit_max + 1)
+    states = [_fold((a0,)) for a0 in heads]
+    levels = [[CoverMember(0, (a0,), _interval(st)) for a0, st in zip(heads, states)]]
+    for level in range(1, max_level + 1):
+        states = [_fold((k,), st) for st in states for k in digits]
+        words = (m.word + (k,) for m in levels[-1] for k in digits)
+        levels.append([CoverMember(level, w, _interval(st)) for w, st in zip(words, states)])
+    del states  # the checks read only intervals; the states would add to peak memory
 
     disjoint = _check_disjoint(levels)
-    refinement = _check_refinement(levels, by_word)
-    closure = _check_closure_refinement(levels, by_word)
+    refinement = _check_refinement(levels, digit_max)
+    closure = _check_closure_refinement(levels, digit_max)
     mesh, max_by_level = _check_mesh(levels)
     return CoverReport(
         disjoint=disjoint,
@@ -251,5 +248,5 @@ def verify_cover_properties(
         closure_refinement=closure,
         mesh=mesh,
         max_length_by_level=max_by_level,
-        words_checked=len(by_word),
+        words_checked=sum(map(len, levels)),
     )

@@ -69,14 +69,11 @@ def check_ball_image(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     prefix = a.prefix(n)
-    iv = interval_of(prefix)
+    iv = phi_forward(a, n - 1).interval
     samples = 0
     all_inside = True
-    base = phi_forward(Baire2Prefix(prefix), n - 1)
-    all_inside &= base.interval == iv
     for ext in itertools.product(sample_digits, repeat=sample_len):
-        point = Baire2Prefix(prefix + ext)
-        ap = phi_forward(point, n - 1 + sample_len)
+        ap = phi_forward(Baire2Prefix(prefix + ext), n - 1 + sample_len)
         all_inside &= iv.contains_interval(ap.interval)
         samples += 1
-    return BallImageCheck(prefix, iv, samples, bool(all_inside))
+    return BallImageCheck(prefix, iv, samples, all_inside)

@@ -488,16 +488,14 @@ class BaseEqualityReport:
         }
 
 
-def verify_base_equality(seq: CoverSequence, table: DistanceTable) -> BaseEqualityReport:
-    """Ball system == all partition blocks plus the whole space.
+def verify_base_equality(seq: CoverSequence) -> BaseEqualityReport:
+    """Ball system of the ultrametric read off seq == all blocks plus the whole space.
 
     The open balls at the radii from ``_radii`` are all the distinct open
     balls: the one at a distance 1/(k+1) is a level-k block, and the one past
     the largest distance is the whole space.
     """
-    expected = ultrametric_from_covers(seq, seq.ground)
-    if not expected.same_table(table):
-        raise ValueError("table is not the ultrametric read off the cover sequence")
+    table = ultrametric_from_covers(seq, seq.ground)
     balls = {_ball(table, i, r) for r in _radii(table) for i in range(len(table.points))}
     base = {b for blocks in seq.levels for b in blocks} | {seq.ground}
     if balls == base:

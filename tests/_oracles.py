@@ -1,13 +1,16 @@
 """Independent oracles the tests check library answers against.
 
 Nothing here calls the expansion or comparison code under test: periodic
-words become surds by solving the period's fixed-point quadratic, and order
+words become surds by solving the period's fixed-point quadratic, order
 against a rational is decided with integer square-root bounds at growing
-precision.  Finite distance tables are read only through ``points`` and
-``d``; balls, radii and the ball phenomena are rebuilt by brute force.
+precision, and finite words are valued by folding them back to front in
+``Fraction`` arithmetic, never through the convergent recurrence.  Finite
+distance tables are read only through ``points`` and ``d``; balls, radii and
+the ball phenomena are rebuilt by brute force.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 from bairecf import QuadraticSurd
@@ -57,6 +60,39 @@ def compare_oracle(s: QuadraticSurd, x) -> str:
         if lhs_hi < rhs:
             return "LT"
         digits *= 2
+
+
+def fold_value(digits, tail=None) -> Fraction:
+    """Value of the word digits + (tail,), folded back to front: a + 1/acc."""
+    digits = tuple(digits)
+    if tail is None:
+        digits, tail = digits[:-1], digits[-1]
+    acc = Fraction(tail)
+    for a in reversed(digits):
+        acc = a + 1 / acc
+    return acc
+
+
+def interval_oracle(word) -> tuple:
+    """(lo, hi) of a word's interval: its value and the value with the last
+    digit bumped, each folded on its own, in increasing order."""
+    word = tuple(word)
+    v = fold_value(word)
+    bumped = fold_value(word[:-1] + (word[-1] + 1,))
+    return (v, bumped) if v < bumped else (bumped, v)
+
+
+def cover_slice_oracle(max_level, a0_range, digit_max) -> tuple:
+    """(words, max interval length by level) of a cover slice, word by word."""
+    lo, hi = a0_range
+    words, max_length = 0, {}
+    for level in range(max_level + 1):
+        for head in range(lo, hi + 1):
+            for rest in product(range(1, digit_max + 1), repeat=level):
+                a, b = interval_oracle((head, *rest))
+                max_length[level] = max(max_length.get(level, 0), b - a)
+                words += 1
+    return words, max_length
 
 
 NON_SQUARES = tuple(n for n in range(2, 80) if isqrt(n) ** 2 != n)

@@ -394,7 +394,7 @@ def test_acceptance_09_finite_space_pipeline():
         if not verify_ball_properties(table).all_passed:
             bad = f"n={n}: ball properties fail"
             break
-        if not verify_base_equality(seq, table).all_passed:
+        if not verify_base_equality(seq).all_passed:
             bad = f"n={n}: ball system differs from the blocks"
             break
         emb = sierpinski_embed(seq)

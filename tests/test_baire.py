@@ -141,27 +141,48 @@ def test_ultrametric_triangle_randomized():
 
 def test_cylinder_of_ball_examples():
     f = BairePrefix((3, 1, 4, 1, 5))
-    assert cylinder_of_ball(f, Fraction(1, 3)) == (3, 1, 4, 1)
+    assert cylinder_of_ball(f, Fraction(1, 3)) == (3, 1, 4)
     assert cylinder_of_ball(f, Fraction(2)) is WHOLE_SPACE
-    assert cylinder_of_ball(BairePrefix((3, 1, 4)), Fraction(1)) == (3, 1)
-    assert cylinder_of_ball(f, Fraction(1, 4)) == (3, 1, 4, 1, 5)
+    assert cylinder_of_ball(BairePrefix((3, 1, 4)), Fraction(1)) == (3,)
+    assert cylinder_of_ball(f, Fraction(1, 4)) == (3, 1, 4, 1)
+    assert cylinder_of_ball(f, Fraction(1, 5)) == (3, 1, 4, 1, 5)
     with pytest.raises(ValueError):
         cylinder_of_ball(f, Fraction(0))
     with pytest.raises(InsufficientPrecisionError):
         cylinder_of_ball(BairePrefix((3,)), Fraction(1, 3))
-    # r = 1/5 asks for six fixed entries (1/6 < 1/5 <= 1/5) but f has five
+    # r = 1/6 asks for six fixed entries (1/7 < 1/6 <= 1/6) but f has five
     with pytest.raises(InsufficientPrecisionError):
-        cylinder_of_ball(f, Fraction(1, 5))
+        cylinder_of_ball(f, Fraction(1, 6))
 
 
 def test_cylinder_radius_bracketing():
-    # m is the unique integer with 1/m < r <= 1/(m-1)
+    # m is the unique integer with 1/(m+1) < r <= 1/m
     f = BairePrefix((0,), (1,))
-    for m in range(2, 30):
-        r_hi = Fraction(1, m - 1)
+    for m in range(1, 30):
+        r_hi = Fraction(1, m)
         assert cylinder_of_ball(f, r_hi) == f.prefix(m)
-        r_mid = (Fraction(1, m) + Fraction(1, m - 1)) / 2
+        r_mid = (Fraction(1, m + 1) + Fraction(1, m)) / 2
         assert cylinder_of_ball(f, r_mid) == f.prefix(m)
+
+
+def test_cylinder_is_the_open_ball_brute_force():
+    # every pair of total points over small alphabets, both spaces: g is
+    # closer than r to f exactly when it lies in f's cylinder
+    radii = [Fraction(1, m) for m in range(1, 7)]
+    radii += [(a + b) / 2 for a, b in zip(radii, radii[1:])] + [Fraction(2)]
+    for cls, heads, digits in ((BairePrefix, (0, 1), (0, 1)), (Baire2Prefix, (-1, 0), (1, 2))):
+        points = [
+            cls((head, *rest), tail)
+            for head in heads
+            for rest in itertools.product(digits, repeat=2)
+            for tail in ((1,), (2, 1))
+        ]
+        for f in points:
+            for r in radii:
+                cyl = cylinder_of_ball(f, r)
+                for g in points:
+                    inside = cyl is WHOLE_SPACE or g.prefix(len(cyl)) == cyl
+                    assert (baire_distance(f, g, 8).value < r) == inside, (f, g, r)
 
 
 def test_ball_center_property():
@@ -181,17 +202,16 @@ def test_ball_center_property():
         assert cylinder_of_ball(g, r) == sigma
 
 
-def test_ball_boundary_pair_gets_a_different_cylinder():
-    # the cylinder fixes one index beyond the sharp ball: a pair whose first
-    # difference sits exactly at that last index is closer than r yet lands
-    # in a different cylinder
+def test_ball_boundary_pair_shares_the_cylinder():
+    # a pair whose first difference sits at the first index the cylinder
+    # leaves free is closer than r, so both points name the same cylinder
     f = BairePrefix((0, 0, 0, 0, 0, 0, 0, 0))
     g = BairePrefix((0, 0, 0, 0, 7, 0, 0, 0))
     r = Fraction(2, 9)
     assert baire_distance(f, g, 8) == Distance.exact(Fraction(1, 5))
     assert Fraction(1, 5) < r
-    assert cylinder_of_ball(f, r) == (0, 0, 0, 0, 0)
-    assert cylinder_of_ball(g, r) == (0, 0, 0, 0, 7)
+    assert cylinder_of_ball(f, r) == (0, 0, 0, 0)
+    assert cylinder_of_ball(g, r) == (0, 0, 0, 0)
 
 
 def test_psi_map_examples():

@@ -12,10 +12,11 @@ from bairecf import (
     expand_rational,
     expand_surd,
     format_cf,
+    interval_of,
     parse_cf,
 )
 
-from _oracles import NAMED_SURDS, periodic_surd
+from _oracles import NAMED_SURDS, fold_value, interval_oracle, periodic_surd
 
 
 def test_expand_examples():
@@ -100,7 +101,7 @@ def test_evaluate_with_tail():
 
 
 def test_convergents_match_prefix_evaluation():
-    """Recurrence route equals direct prefix evaluation (two independent routes)."""
+    """Recurrence route equals back-to-front prefix evaluation (two independent routes)."""
     rng = random.Random(1003)
     for _ in range(400):
         digits = tuple(
@@ -109,7 +110,24 @@ def test_convergents_match_prefix_evaluation():
         cs = convergents(digits)
         assert len(cs) == len(digits)
         for i, c in enumerate(cs):
-            assert c == evaluate(digits[: i + 1])
+            assert c == fold_value(digits[: i + 1])
+
+
+def test_one_fold_matches_back_to_front_oracle():
+    """Values, tails, convergents and intervals against back-to-front Fraction folds."""
+    rng = random.Random(5025)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        word = (rng.randint(-50, 50),) + tuple(rng.randint(1, 12) for _ in range(n - 1))
+        assert evaluate(word) == fold_value(word)
+        cs = convergents(word)
+        assert cs == [fold_value(word[: i + 1]) for i in range(n)]
+        iv = interval_of(word)
+        assert (iv.lo, iv.hi) == interval_oracle(word)
+        x = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        prefix = word[: rng.randint(0, n)]
+        assert evaluate_with_tail(prefix, x) == fold_value(prefix, x)
+    assert evaluate_with_tail((), Fraction(3, 7)) == fold_value((), Fraction(3, 7))
 
 
 def test_convergents_sqrt2_prefix():

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import bairecf.cli as cli
 from bairecf.cli import main, run
 
 DATA = Path(__file__).parent / "data"
@@ -70,7 +71,9 @@ def test_baire_dist():
 
 def test_baire_ball():
     res = run(["baire", "ball", "(3,1,4,1,5)", "1/3"])
-    assert (res.exit_code, res.out) == (0, "(3,1,4,1)")
+    assert (res.exit_code, res.out) == (0, "(3,1,4)")
+    res = run(["baire", "ball", "(1)~(2)", "1/3", "--space", "z"])
+    assert (res.exit_code, res.out) == (0, "(1,2,2)")
     res = run(["baire", "ball", "(1)", "2", "--json"])
     payload = json.loads(res.out)
     assert payload["whole_space"] is True
@@ -102,6 +105,29 @@ def test_cover_verify_passes():
     assert "closure_refinement: pass" in lines
     assert "mesh: pass" in lines
     assert any(line.startswith("words_checked:") for line in lines)
+
+
+def test_cover_verify_word_budget(monkeypatch):
+    def reached(max_level, a0_range, digit_max):
+        raise ValueError("verifier reached")
+
+    monkeypatch.setattr(cli, "verify_cover_properties", reached)
+    assert cli.MAX_COVER_WORDS == 131072
+    # the default shape through level 7 is 109225 words, through level 8 436905
+    assert "verifier reached" in run(["cover", "verify", "--max-level", "7"]).err
+    over = [
+        ["--max-level", "8"],
+        ["--max-level", "64"],
+        ["--max-level", "1", "--digit-max", str(10**40)],
+        ["--max-level", "0", "--a0-lo", str(-(10**40)), "--a0-hi", str(10**40)],
+    ]
+    for extra in over:
+        res = run(["cover", "verify", *extra])
+        assert res.exit_code == 1, extra
+        assert "words exceeds the budget 131072" in res.err, extra
+    assert "slice of at least 436905 words" in run(["cover", "verify", "--max-level", "64"]).err
+    # bad ranges count low and reach the verifier's own checks
+    assert "verifier reached" in run(["cover", "verify", "--digit-max", str(-(10**40))]).err
 
 
 def test_homeo_commands():

@@ -7,14 +7,13 @@ import pytest
 from bairecf import (
     IntervalQ,
     children,
-    evaluate,
     interval_of,
     locate,
     member_of,
     verify_cover_properties,
 )
 
-from _oracles import NAMED_SURDS
+from _oracles import NAMED_SURDS, cover_slice_oracle, fold_value
 
 
 def test_interval_examples():
@@ -33,8 +32,8 @@ def test_interval_endpoints_are_word_values():
         word = tuple(
             [rng.randint(-5, 5)] + [rng.randint(1, 6) for _ in range(rng.randint(0, 5))]
         )
-        v = evaluate(word)
-        bumped = evaluate(word[:-1] + (word[-1] + 1,))
+        v = fold_value(word)
+        bumped = fold_value(word[:-1] + (word[-1] + 1,))
         iv = interval_of(word)
         level = len(word) - 1
         if level % 2 == 0:
@@ -155,6 +154,22 @@ def test_verify_cover_properties_passes():
     assert report.closure_refinement.passed
     assert report.mesh.passed
     assert report.words_checked == 5 + 5 * 6 + 5 * 36 + 5 * 216
+
+
+def test_verify_cover_properties_matches_slice_oracle():
+    shapes = [
+        (level, heads, digit_max)
+        for level in range(5)
+        for heads in ((0, 0), (-3, -3), (-2, 1))
+        for digit_max in range(1, 6)
+        if (heads[1] - heads[0] + 1) * digit_max**level <= 1000
+    ]
+    for max_level, heads, digit_max in shapes:
+        report = verify_cover_properties(max_level, heads, digit_max)
+        assert report.all_passed, (max_level, heads, digit_max)
+        words, max_length = cover_slice_oracle(max_level, heads, digit_max)
+        assert report.words_checked == words
+        assert dict(report.max_length_by_level) == max_length
 
 
 def test_verify_cover_mesh_values():

@@ -9,6 +9,7 @@ from bairecf import (
     Baire2Prefix,
     InsufficientPrecisionError,
     check_ball_image,
+    cylinder_of_ball,
     expand_surd,
     interval_of,
     phi_forward,
@@ -139,7 +140,7 @@ def test_check_ball_image_randomized():
         n = rng.randint(1, 6)
         r = check_ball_image(p, n, sample_digits=(1, 2), sample_len=2)
         assert r.all_inside
-        assert r.cylinder == p.prefix(n)
+        assert r.cylinder == p.prefix(n) == cylinder_of_ball(p, Fraction(1, n))
         assert r.interval == interval_of(p.prefix(n))
         assert r.samples_checked == 4
 

@@ -310,8 +310,7 @@ def test_verify_ball_properties_reports_precondition():
 
 def test_verify_base_equality_three_point():
     seq = CoverSequence([[{"a", "b"}, {"c"}], [{"a"}, {"b"}, {"c"}]])
-    t = ultrametric_from_covers(seq, seq.ground)
-    rep = verify_base_equality(seq, t)
+    rep = verify_base_equality(seq)
     assert rep.all_passed
     assert rep.ball_system_size == 5
     assert rep.base_system_size == 5
@@ -319,14 +318,12 @@ def test_verify_base_equality_three_point():
 
 def test_verify_base_equality_discrete_and_trivial():
     flat = CoverSequence([[{"a"}, {"b"}]])
-    t = ultrametric_from_covers(flat, {"a", "b"})
-    rep = verify_base_equality(flat, t)
+    rep = verify_base_equality(flat)
     assert rep.all_passed
     assert rep.ball_system_size == 3
 
     one = CoverSequence([[{"a"}]])
-    t = ultrametric_from_covers(one, {"a"})
-    rep = verify_base_equality(one, t)
+    rep = verify_base_equality(one)
     assert rep.all_passed
     assert rep.ball_system_size == 1
 
@@ -393,16 +390,9 @@ def test_base_equality_ball_system_matches_oracle():
     for _ in range(150):
         seq = _random_covers(rng, rng.randint(1, 12))
         table = ultrametric_from_covers(seq, seq.ground)
-        rep = verify_base_equality(seq, table)
+        rep = verify_base_equality(seq)
         assert rep.all_passed
         assert rep.ball_system_size == len(ball_system(table, midpoint_radii(table)))
-
-
-def test_verify_base_equality_rejects_foreign_table():
-    seq = CoverSequence([[{"a", "b"}, {"c"}], [{"a"}, {"b"}, {"c"}]])
-    wrong = _table("abc", [("a", "b", 1), ("a", "c", 1), ("b", "c", 1)])
-    with pytest.raises(ValueError, match="not the ultrametric"):
-        verify_base_equality(seq, wrong)
 
 
 def test_sierpinski_embed_examples():
