@@ -231,8 +231,7 @@ def _cmd_cover_show(args) -> _Output:
 def _cmd_cover_locate(args) -> _Output:
     s = parse_surd(args.surd)
     level = _capped(args.level, "level")
-    word = locate(s, level)
-    m = member_of(word)
+    m = locate(s, level)
     return _Output(
         {
             "surd": format_surd(s),
@@ -241,7 +240,7 @@ def _cmd_cover_locate(args) -> _Output:
             "lo": str(m.interval.lo),
             "hi": str(m.interval.hi),
         },
-        f"{format_cf(word)} {m.interval}",
+        f"{format_cf(m.word)} {m.interval}",
     )
 
 

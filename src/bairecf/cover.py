@@ -8,18 +8,23 @@ value at even levels and lowers it at odd levels, so endpoints are normalized
 to lo < hi regardless of the level's parity.  Each level's members are
 pairwise disjoint, children refine their parent, closures of grandchildren sit
 inside the open grandparent (the shared-endpoint caveat lives one level up,
-between parent and child), and member lengths at level n shrink below 1/(n+1)
-for n >= 1.
+between parent and child), and member lengths are exactly 1 at level 0, at
+most 1/2 at level 1 and below 1/(n+1) at every level n >= 2.
+
+A slice is verified by one depth-first walk in Stern-Brocot order (Graham,
+Knuth & Patashnik, *Concrete Mathematics*, 4.5): digits taken downward below
+even levels and upward below odd ones meet every level in ascending order.
+The walk keeps only the current word's ancestors and the last member met at
+each level, so its memory is O(max_level), not O(words).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cf import _as_digits, _fold, expand_surd
+from .cf import _EMPTY, _as_digits, _fold, expand_surd
 from .report import PropertyCheck
 from .surd import QuadraticSurd
 
@@ -66,18 +71,17 @@ class IntervalQ:
         return f"({self.lo}, {self.hi})"
 
 
-def _interval(state: tuple[int, int, int, int]) -> IntervalQ:
-    # p/q versus (p + p0)/(q + q0), both denominators positive
+def _ends(state: tuple[int, int, int, int]):
+    """(lo, hi) of p/q and (p + p0)/(q + q0), as (numerator, positive denominator) pairs."""
     p, q, p0, q0 = state
-    v, v_bumped = Fraction(p, q), Fraction(p + p0, q + q0)
-    if p * q0 < p0 * q:
-        return IntervalQ(v, v_bumped)
-    return IntervalQ(v_bumped, v)
+    value, bumped = (p, q), (p + p0, q + q0)
+    return (value, bumped) if p * q0 < p0 * q else (bumped, value)
 
 
 def interval_of(word: Sequence[int]) -> IntervalQ:
     """The open interval named by a digit word; level = len(word) - 1."""
-    return _interval(_fold(_as_digits(word, "word")))
+    lo, hi = _ends(_fold(_as_digits(word, "word")))
+    return IntervalQ(Fraction(*lo), Fraction(*hi))
 
 
 @dataclass(frozen=True)
@@ -100,13 +104,15 @@ def children(word: Sequence[int], k_max: int) -> list[CoverMember]:
     return [member_of(digits + (k,)) for k in range(1, k_max + 1)]
 
 
-def locate(x: QuadraticSurd, level: int) -> tuple[int, ...]:
-    """The level's unique word whose interval holds x, by digit expansion."""
-    word = expand_surd(x, level)
-    iv = interval_of(word)
-    if not iv.contains_surd(x):
-        raise RuntimeError(f"internal error: {x} escaped its own interval {iv}")
-    return word
+def locate(x: QuadraticSurd, level: int) -> CoverMember:
+    """The level's unique member whose interval holds x, by digit expansion."""
+    m = member_of(expand_surd(x, level))
+    if not m.interval.contains_surd(x):
+        raise RuntimeError(f"internal error: {x} escaped its own interval {m.interval}")
+    return m
+
+
+_CHECKS = ("disjoint", "refinement", "closure_refinement", "mesh")
 
 
 @dataclass(frozen=True)
@@ -120,94 +126,26 @@ class CoverReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(
-            c.passed
-            for c in (self.disjoint, self.refinement, self.closure_refinement, self.mesh)
-        )
+        return all(getattr(self, name).passed for name in _CHECKS)
 
     def as_json(self) -> dict:
         return {
-            "disjoint": self.disjoint.as_json(),
-            "refinement": self.refinement.as_json(),
-            "closure_refinement": self.closure_refinement.as_json(),
-            "mesh": self.mesh.as_json(),
+            **{name: getattr(self, name).as_json() for name in _CHECKS},
             "max_length_by_level": {
-                str(level): str(self.max_length_by_level[level])
-                for level in sorted(self.max_length_by_level)
+                str(level): str(v) for level, v in sorted(self.max_length_by_level.items())
             },
             "words_checked": self.words_checked,
             "passed": self.all_passed,
         }
 
 
-def _check_disjoint(levels: list[list[CoverMember]]) -> PropertyCheck:
-    for members in levels:
-        ordered = sorted(members, key=lambda m: (m.interval.lo, m.interval.hi))
-        for a, b in zip(ordered, ordered[1:]):
-            if not a.interval.disjoint_from(b.interval):
-                return PropertyCheck.fail(
-                    f"level {a.level}: {a.word} {a.interval} overlaps {b.word} {b.interval}"
-                )
-    return PropertyCheck.ok()
+def _cmp(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """A number with the sign of a - b, for (numerator, positive denominator) pairs."""
+    return a[0] * b[1] - b[0] * a[1]
 
 
-def _check_refinement(levels: list[list[CoverMember]], digit_max: int) -> PropertyCheck:
-    for level_index in range(1, len(levels)):
-        prev = levels[level_index - 1]
-        parents = sorted(prev, key=lambda m: m.interval.lo)
-        keys = [m.interval.lo for m in parents]
-        for c, m in enumerate(levels[level_index]):
-            parent = prev[c // digit_max]
-            if not parent.interval.contains_interval(m.interval):
-                return PropertyCheck.fail(
-                    f"{m.word} {m.interval} not inside parent {parent.word} {parent.interval}"
-                )
-            # Uniqueness: with the level sorted by lo, the only member that can
-            # contain m is the last one starting at or before m.lo.  Anything
-            # else containing m would overlap it, which disjointness forbids.
-            i = bisect_right(keys, m.interval.lo) - 1
-            if i < 0 or parents[i].word != parent.word:
-                witness = parents[i].word if i >= 0 else None
-                return PropertyCheck.fail(
-                    f"{m.word} is bracketed by member {witness}, not its parent word"
-                )
-    return PropertyCheck.ok()
-
-
-def _check_closure_refinement(levels: list[list[CoverMember]], digit_max: int) -> PropertyCheck:
-    # Closures poke out one level up through the shared endpoint of the k=1
-    # child, but sit strictly inside the open interval two levels up.
-    for level_index in range(2, len(levels)):
-        grands = levels[level_index - 2]
-        for c, m in enumerate(levels[level_index]):
-            grand = grands[c // digit_max**2]
-            if not grand.interval.contains_closure_of(m.interval):
-                return PropertyCheck.fail(
-                    f"closure of {m.word} {m.interval} not inside {grand.word} {grand.interval}"
-                )
-    return PropertyCheck.ok()
-
-
-def _check_mesh(levels: list[list[CoverMember]]) -> tuple[PropertyCheck, dict[int, Fraction]]:
-    # Level 0: every length is exactly 1.  Level 1: lengths 1/(k(k+1)) top out
-    # at 1/2, attained at k = 1, so the bound is non-strict there.  From level
-    # 2 on the strict bound 1/(level+1) holds.
-    max_by_level: dict[int, Fraction] = {}
-    for level_index, members in enumerate(levels):
-        max_by_level[level_index] = max(m.interval.length for m in members)
-        bound = Fraction(1, level_index + 1)
-        for m in members:
-            length = m.interval.length
-            if level_index == 0 and length != 1:
-                fail = f"level-0 member {m.word} has length {length} != 1"
-            elif level_index == 1 and length > bound:
-                fail = f"level-1 member {m.word} has length {length} > 1/2"
-            elif level_index >= 2 and length >= bound:
-                fail = f"level-{level_index} member {m.word} has length {length} >= {bound}"
-            else:
-                continue
-            return PropertyCheck.fail(fail), max_by_level
-    return PropertyCheck.ok(), max_by_level
+def _show(word: tuple[int, ...], lo: tuple[int, int], hi: tuple[int, int]) -> str:
+    return f"{word} ({Fraction(*lo)}, {Fraction(*hi)})"
 
 
 def verify_cover_properties(
@@ -215,9 +153,13 @@ def verify_cover_properties(
 ) -> CoverReport:
     """Exhaustively check the family's advertised behaviour on a finite slice.
 
-    Enumerates every word up to max_level with first digit in a0_range
-    (inclusive) and later digits in 1..digit_max, parent-major: the children
-    of a member are consecutive, so member c's parent is member c // digit_max.
+    The slice is every word up to max_level with first digit in a0_range
+    (inclusive) and later digits in 1..digit_max.  Each member's hi <= the lo
+    of the next member met at its level proves each level sorted and pairwise
+    disjoint, so a child inside its parent lies in no other member of that
+    level: such a member would overlap the parent.  A failing check names the
+    lowest failing level's first failure: in walk order for disjointness, in
+    parent-major (lexicographic) word order otherwise.
     """
     a0_lo, a0_hi = a0_range
     if max_level < 0:
@@ -227,26 +169,57 @@ def verify_cover_properties(
     if digit_max < 1:
         raise ValueError(f"digit_max must be >= 1, got {digit_max}")
 
-    # Each child pushes one digit onto its parent's state; only the current
-    # level's states are kept.
-    heads, digits = range(a0_lo, a0_hi + 1), range(1, digit_max + 1)
-    states = [_fold((a0,)) for a0 in heads]
-    levels = [[CoverMember(0, (a0,), _interval(st)) for a0, st in zip(heads, states)]]
-    for level in range(1, max_level + 1):
-        states = [_fold((k,), st) for st in states for k in digits]
-        words = (m.word + (k,) for m in levels[-1] for k in digits)
-        levels.append([CoverMember(level, w, _interval(st)) for w, st in zip(words, states)])
-    del states  # the checks read only intervals; the states would add to peak memory
+    orders = (range(digit_max, 0, -1), range(1, digit_max + 1))
+    last = [None] * (max_level + 1)  # per level, the member met last
+    longest = [(0, 1)] * (max_level + 1)  # per level, the largest length
+    fails: dict[str, tuple] = {}  # check -> (ordering key, counterexample)
+    words = 0
 
-    disjoint = _check_disjoint(levels)
-    refinement = _check_refinement(levels, digit_max)
-    closure = _check_closure_refinement(levels, digit_max)
-    mesh, max_by_level = _check_mesh(levels)
-    return CoverReport(
-        disjoint=disjoint,
-        refinement=refinement,
-        closure_refinement=closure,
-        mesh=mesh,
-        max_length_by_level=max_by_level,
-        words_checked=sum(map(len, levels)),
-    )
+    def fail(check, key, counterexample):
+        if check not in fails or key < fails[check][0]:
+            fails[check] = (key, counterexample)
+
+    # Entries are (member, state, digits left to push); the root is the empty word.
+    stack = [(((), None, None), _EMPTY, iter(range(a0_lo, a0_hi + 1)))]
+    while stack:
+        parent, state, todo = stack[-1]
+        k = next(todo, None)
+        if k is None:
+            stack.pop()
+            continue
+        level, word, state = len(stack) - 1, parent[0] + (k,), _fold((k,), state)
+        lo, hi = _ends(state)
+        member, prev, words = (word, lo, hi), last[level], words + 1
+        last[level] = member
+        if prev is not None and _cmp(prev[2], lo) > 0:
+            relation = "overlaps" if _cmp(hi, prev[1]) > 0 else "is walked before but lies above"
+            fail("disjoint", level, f"level {level}: {_show(*prev)} {relation} {_show(*member)}")
+        if level >= 1 and (_cmp(parent[1], lo) > 0 or _cmp(hi, parent[2]) > 0):
+            fail("refinement", (level, word),
+                 f"{_show(*member)} not inside parent {_show(*parent)}")
+        # Closures poke out one level up through the shared endpoint of the k=1
+        # child, but sit strictly inside the open interval two levels up.
+        grand = stack[-2][0] if level >= 2 else None
+        if grand and (_cmp(grand[1], lo) >= 0 or _cmp(hi, grand[2]) >= 0):
+            fail("closure_refinement", (level, word),
+                 f"closure of {_show(*member)} not inside {_show(*grand)}")
+        # Lengths are exactly 1 at level 0; at level 1, 1/(k(k+1)) tops out at
+        # 1/2, attained at k = 1; from level 2 on the strict bound 1/(level+1) holds.
+        p, q, p0, q0 = state
+        length = (abs(p * q0 - p0 * q), q * (q + q0))
+        if _cmp(length, longest[level]) > 0:
+            longest[level] = length
+        excess = length[0] * (level + 1) - length[1]  # sign of length - 1/(level+1)
+        if (excess != 0, excess > 0, excess >= 0)[min(level, 2)]:
+            relation = ("!= 1", "> 1/2", f">= 1/{level + 1}")[min(level, 2)]
+            fail("mesh", (level, word),
+                 f"level-{level} member {word} has length {Fraction(*length)} {relation}")
+        if level < max_level:
+            stack.append((member, state, iter(orders[level % 2])))
+
+    checks = (PropertyCheck.fail(fails[n][1]) if n in fails else PropertyCheck.ok()
+              for n in _CHECKS)
+    # A mesh failure ends the reported maxima at its level.
+    levels = fails["mesh"][0][0] + 1 if "mesh" in fails else max_level + 1
+    maxima = {level: Fraction(*longest[level]) for level in range(levels)}
+    return CoverReport(*checks, maxima, words)

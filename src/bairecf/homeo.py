@@ -43,7 +43,7 @@ def phi_forward(p: Baire2Prefix, depth: int) -> PhiApproximation:
 
 def phi_inverse(x: QuadraticSurd, depth: int) -> Baire2Prefix:
     """The sequence point carrying x's first depth+1 digits (no tail claimed)."""
-    return Baire2Prefix(locate(x, depth))
+    return Baire2Prefix(locate(x, depth).word)
 
 
 @dataclass(frozen=True)

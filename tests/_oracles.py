@@ -6,14 +6,21 @@ against a rational is decided with integer square-root bounds at growing
 precision, and finite words are valued by folding them back to front in
 ``Fraction`` arithmetic, never through the convergent recurrence.  Finite
 distance tables are read only through ``points`` and ``d``; balls, radii and
-the ball phenomena are rebuilt by brute force.
+the ball phenomena are rebuilt by brute force.  The one exception is
+``cover_levels_oracle``, the level-list cover verifier the streamed walk
+replaced: it reads states from the fold the walk also uses, so the two
+verifiers can be compared on the same, possibly corrupted, states.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 from math import isqrt
 
+import bairecf.cover as cover
 from bairecf import QuadraticSurd
+from bairecf.cover import CoverMember, CoverReport, IntervalQ, _ends
+from bairecf.report import PropertyCheck
 
 
 def mobius_surd(a, b, c, d, s: QuadraticSurd) -> QuadraticSurd:
@@ -93,6 +100,97 @@ def cover_slice_oracle(max_level, a0_range, digit_max) -> tuple:
                 max_length[level] = max(max_length.get(level, 0), b - a)
                 words += 1
     return words, max_length
+
+
+def cover_levels_oracle(max_level, a0_range, digit_max) -> CoverReport:
+    """The cover verifier as four passes over whole levels of members.
+
+    Every level is a list in parent-major order (member c's parent is member
+    c // digit_max); disjointness sorts each level, refinement re-sorts the
+    parent level and bisects it for the member bracketing each child, closure
+    looks two levels up, and mesh subtracts ``Fraction`` endpoints.  States
+    come from ``bairecf.cover._fold`` looked up at call time, so a test that
+    patches it corrupts the states both verifiers read.
+    """
+    def _interval(state):
+        lo, hi = _ends(state)
+        return IntervalQ(Fraction(*lo), Fraction(*hi))
+
+    heads, digits = range(a0_range[0], a0_range[1] + 1), range(1, digit_max + 1)
+    states = [cover._fold((a0,)) for a0 in heads]
+    levels = [[CoverMember(0, (a0,), _interval(st)) for a0, st in zip(heads, states)]]
+    for level in range(1, max_level + 1):
+        states = [cover._fold((k,), st) for st in states for k in digits]
+        words = (m.word + (k,) for m in levels[-1] for k in digits)
+        levels.append([CoverMember(level, w, _interval(st)) for w, st in zip(words, states)])
+
+    def disjoint():
+        for members in levels:
+            ordered = sorted(members, key=lambda m: (m.interval.lo, m.interval.hi))
+            for a, b in zip(ordered, ordered[1:]):
+                if not a.interval.disjoint_from(b.interval):
+                    return PropertyCheck.fail(
+                        f"level {a.level}: {a.word} {a.interval} overlaps {b.word} {b.interval}"
+                    )
+        return PropertyCheck.ok()
+
+    def refinement():
+        for level in range(1, len(levels)):
+            prev = levels[level - 1]
+            parents = sorted(prev, key=lambda m: m.interval.lo)
+            keys = [m.interval.lo for m in parents]
+            for c, m in enumerate(levels[level]):
+                parent = prev[c // digit_max]
+                if not parent.interval.contains_interval(m.interval):
+                    return PropertyCheck.fail(
+                        f"{m.word} {m.interval} not inside parent {parent.word} {parent.interval}"
+                    )
+                i = bisect_right(keys, m.interval.lo) - 1
+                if i < 0 or parents[i].word != parent.word:
+                    witness = parents[i].word if i >= 0 else None
+                    return PropertyCheck.fail(
+                        f"{m.word} is bracketed by member {witness}, not its parent word"
+                    )
+        return PropertyCheck.ok()
+
+    def closure():
+        for level in range(2, len(levels)):
+            grands = levels[level - 2]
+            for c, m in enumerate(levels[level]):
+                grand = grands[c // digit_max**2]
+                if not grand.interval.contains_closure_of(m.interval):
+                    return PropertyCheck.fail(
+                        f"closure of {m.word} {m.interval} not inside {grand.word} {grand.interval}"
+                    )
+        return PropertyCheck.ok()
+
+    def mesh():
+        max_by_level = {}
+        for level, members in enumerate(levels):
+            max_by_level[level] = max(m.interval.length for m in members)
+            bound = Fraction(1, level + 1)
+            for m in members:
+                length = m.interval.length
+                if level == 0 and length != 1:
+                    fail = f"level-0 member {m.word} has length {length} != 1"
+                elif level == 1 and length > bound:
+                    fail = f"level-1 member {m.word} has length {length} > 1/2"
+                elif level >= 2 and length >= bound:
+                    fail = f"level-{level} member {m.word} has length {length} >= {bound}"
+                else:
+                    continue
+                return PropertyCheck.fail(fail), max_by_level
+        return PropertyCheck.ok(), max_by_level
+
+    mesh_check, max_by_level = mesh()
+    return CoverReport(
+        disjoint=disjoint(),
+        refinement=refinement(),
+        closure_refinement=closure(),
+        mesh=mesh_check,
+        max_length_by_level=max_by_level,
+        words_checked=sum(map(len, levels)),
+    )
 
 
 NON_SQUARES = tuple(n for n in range(2, 80) if isqrt(n) ** 2 != n)

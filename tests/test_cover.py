@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import bairecf.cover as cover
 from bairecf import (
     IntervalQ,
     children,
@@ -12,8 +15,10 @@ from bairecf import (
     member_of,
     verify_cover_properties,
 )
+from bairecf.cf import _fold
+from bairecf.cli import run
 
-from _oracles import NAMED_SURDS, cover_slice_oracle, fold_value
+from _oracles import NAMED_SURDS, cover_levels_oracle, cover_slice_oracle, fold_value
 
 
 def test_interval_examples():
@@ -120,18 +125,19 @@ def test_closure_containment_skips_one_level():
 
 
 def test_locate_examples():
-    assert locate(NAMED_SURDS["sqrt2"], 3) == (1, 2, 2, 2)
-    assert locate(NAMED_SURDS["sqrt3"], 3) == (1, 1, 2, 1)
-    assert locate(NAMED_SURDS["golden"], 4) == (1, 1, 1, 1, 1)
-    assert locate(NAMED_SURDS["minus_sqrt2"], 2) == (-2, 1, 1)
+    assert locate(NAMED_SURDS["sqrt2"], 3) == member_of((1, 2, 2, 2))
+    assert locate(NAMED_SURDS["sqrt3"], 3).word == (1, 1, 2, 1)
+    assert locate(NAMED_SURDS["golden"], 4).word == (1, 1, 1, 1, 1)
+    assert locate(NAMED_SURDS["minus_sqrt2"], 2).word == (-2, 1, 1)
 
 
 def test_locate_interval_contains_surd():
     for name, s in NAMED_SURDS.items():
         for level in range(0, 9):
-            word = locate(s, level)
-            assert len(word) == level + 1
-            assert interval_of(word).contains_surd(s), (name, level)
+            m = locate(s, level)
+            assert (m.level, len(m.word)) == (level, level + 1)
+            assert m.interval == interval_of(m.word)
+            assert m.interval.contains_surd(s), (name, level)
 
 
 def test_equal_length_words_have_disjoint_intervals():
@@ -204,3 +210,147 @@ def test_report_json_shape():
         "words_checked",
         "passed",
     }
+
+
+def _shapes(rng, count, max_words):
+    """Seeded slices: levels 0-5, digit_max 1-6, one or several heads, negative ones too."""
+    shapes = []
+    while len(shapes) < count:
+        a0_lo = rng.randint(-4, 3)
+        shape = (rng.randint(0, 5), (a0_lo, a0_lo + rng.choice((0, 0, 1, 2, 4))), rng.randint(1, 6))
+        level, (lo, hi), digit_max = shape
+        if (hi - lo + 1) * sum(digit_max**i for i in range(level + 1)) <= max_words:
+            shapes.append(shape)
+    return shapes
+
+
+def test_verify_cover_properties_matches_levels_oracle():
+    for shape in _shapes(random.Random(1729), 40, 1500):
+        report = verify_cover_properties(*shape)
+        assert report.all_passed, shape
+        assert report == cover_levels_oracle(*shape), shape
+
+
+def _corrupt(monkeypatch, faults):
+    """Make the cover fold return faults[word] wherever it would return word's state.
+
+    Children are pushed onto the corrupted state, so a fault moves the whole
+    subtree below its word; both verifiers read states through this fold.
+    """
+    bad = {_fold(word): state for word, state in faults.items()}
+
+    def fold(digits, *state):
+        out = _fold(digits, *state)
+        return bad.get(out, out)
+
+    monkeypatch.setattr(cover, "_fold", fold)
+
+
+def _state(value, bumped):
+    """A state whose word value is value = (p, q) and whose bumped value is bumped."""
+    (p, q), (pb, qb) = value, bumped
+    return (p, q, pb - p, qb - q)
+
+
+COVER_FAULTS = [
+    # (0, 1, 1) stretched over its sibling (0, 1, 2)
+    ((2, (-1, 1), 3), {(0, 1, 1): _state((1, 2), (7, 10))}, "disjoint",
+     "level 2: (0, 1, 1) (1/2, 7/10) overlaps (0, 1, 2) (2/3, 3/4)"),
+    # (-1, 1) moved into the free gap of the next head, with its subtree
+    ((2, (-1, 1), 3), {(-1, 1): _fold((0, 4))}, "refinement",
+     "(-1, 1) (1/5, 1/4) not inside parent (-1,) (-1, 0)"),
+    # two children out of their parents: the walk meets (0, 2, 1) first, but
+    # (0, 1, 2) comes first in parent-major order
+    ((2, (-1, 1), 2), {(0, 2, 1): _state((3, 10), (1, 3)), (0, 1, 2): _state((3, 4), (11, 10))},
+     "refinement", "(0, 1, 2) (3/4, 11/10) not inside parent (0, 1) (1/2, 1)"),
+    # the last grandchild stretched to the grandparent's right end
+    ((2, (-1, 1), 3), {(0, 1, 3): _state((1, 1), (3, 4))}, "closure_refinement",
+     "closure of (0, 1, 3) (3/4, 1) not inside (0,) (0, 1)"),
+    # a level-2 member with |p q' - p' q| = 4, one level above the bottom
+    ((3, (-1, 1), 1), {(0, 1, 1): _state((1, 2), (5, 6))}, "mesh",
+     "level-2 member (0, 1, 1) has length 1/3 >= 1/3"),
+]
+
+
+@pytest.mark.parametrize("shape, faults, check, message", COVER_FAULTS)
+def test_cover_fault_is_reported(monkeypatch, shape, faults, check, message):
+    _corrupt(monkeypatch, faults)
+    report = verify_cover_properties(*shape)
+    assert getattr(report, check).counterexample == message
+    assert report == cover_levels_oracle(*shape)
+    if check == "mesh":
+        assert sorted(report.max_length_by_level) == [0, 1, 2]
+
+
+def test_cover_fault_out_of_walk_order_fails_disjoint(monkeypatch):
+    # (0, 1) moved, disjoint from every member, into the gap below (0, 3)
+    # inside its parent: the level is disjoint but out of the walk's order
+    _corrupt(monkeypatch, {(0, 1): _fold((0, 4))})
+    report, oracle = verify_cover_properties(1, (0, 0), 3), cover_levels_oracle(1, (0, 0), 3)
+    assert oracle.all_passed
+    assert report.disjoint.counterexample == (
+        "level 1: (0, 2) (1/3, 1/2) is walked before but lies above (0, 1) (1/5, 1/4)"
+    )
+    assert dataclasses.replace(report, disjoint=oracle.disjoint) == oracle
+
+
+def test_cover_fault_parent_overlap_is_not_bracketed(monkeypatch):
+    # (1,) stretched over (0,): the child (0, 1) used to be reported as
+    # bracketed by (1,); containment in the parent is all refinement checks now
+    _corrupt(monkeypatch, {(1,): _state((2, 1), (1, 2))})
+    report, oracle = verify_cover_properties(1, (0, 1), 3), cover_levels_oracle(1, (0, 1), 3)
+    assert oracle.refinement.counterexample == (
+        "(0, 1) is bracketed by member (1,), not its parent word"
+    )
+    assert report.refinement.passed
+    assert report.disjoint.counterexample == "level 0: (0,) (0, 1) overlaps (1,) (1/2, 2)"
+    assert dataclasses.replace(report, refinement=oracle.refinement) == oracle
+    res = run(["cover", "verify", "--max-level", "1", "--a0-lo", "0", "--a0-hi", "1",
+               "--digit-max", "3"])
+    assert res.exit_code == 3
+    assert "overlaps" in res.out
+
+
+def _random_state(rng):
+    while True:
+        p, p0, q = rng.randint(-30, 30), rng.randint(-30, 30), rng.randint(1, 10)
+        q0 = rng.randint(1 - q, 10)
+        if p * q0 != p0 * q:
+            return (p, q, p0, q0)
+
+
+def test_cover_random_faults_match_levels_oracle(monkeypatch):
+    """Random states at random words: the reports differ only where the walk's
+    order argument replaces the sort and the bisect."""
+    rng = random.Random(31415)
+    for shape in _shapes(rng, 60, 400):
+        max_level, (lo, hi), digit_max = shape
+        words = [
+            (a0, *rest)
+            for level in range(max_level + 1)
+            for a0 in range(lo, hi + 1)
+            for rest in itertools.product(range(1, digit_max + 1), repeat=level)
+        ]
+        faults = {w: _random_state(rng) for w in rng.sample(words, min(len(words), 2))}
+        _corrupt(monkeypatch, faults)
+        report, oracle = verify_cover_properties(*shape), cover_levels_oracle(*shape)
+        assert report.closure_refinement == oracle.closure_refinement, (shape, faults)
+        assert report.mesh == oracle.mesh, (shape, faults)
+        assert report.max_length_by_level == oracle.max_length_by_level, (shape, faults)
+        assert report.words_checked == oracle.words_checked
+        if "bracketed" in oracle.refinement.counterexample:
+            assert not report.disjoint.passed
+        else:
+            assert report.refinement == oracle.refinement, (shape, faults)
+        assert report.disjoint.passed <= oracle.disjoint.passed, (shape, faults)
+
+
+def test_verify_cover_properties_memory_is_flat():
+    tracemalloc.start()
+    try:
+        report = verify_cover_properties(6, (-2, 2), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.words_checked == 27305
+    assert peak < 256 * 1024
