@@ -130,7 +130,7 @@ def expand_surd(s: QuadraticSurd, depth: int) -> tuple[int, ...]:
     for i in range(depth + 1):
         digits.append(cur.floor())
         if i < depth:
-            cur = cur.recip_frac()
+            cur = cur.recip_frac(digits[-1])
     return tuple(digits)
 
 

@@ -7,7 +7,9 @@ verification command ran and found a violation.
 
 Depth-like arguments (--depth, --bound, --max-level) are capped by the
 BAIRECF_MAX_DEPTH environment variable (default 64); ``cover verify`` slices
-are capped at MAX_COVER_WORDS words before anything is built.
+are capped at MAX_COVER_WORDS words before anything is built, and ``ultra`` and
+``embed`` inputs at ``ultra.MAX_POINTS`` points and ``ultra.MAX_MATRIX_BITS``
+bits of matrix when their JSON is read.
 """
 
 from __future__ import annotations

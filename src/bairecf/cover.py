@@ -78,10 +78,14 @@ def _ends(state: tuple[int, int, int, int]):
     return (value, bumped) if p * q0 < p0 * q else (bumped, value)
 
 
+def _interval(state: tuple[int, int, int, int]) -> IntervalQ:
+    lo, hi = _ends(state)
+    return IntervalQ(Fraction(*lo), Fraction(*hi))
+
+
 def interval_of(word: Sequence[int]) -> IntervalQ:
     """The open interval named by a digit word; level = len(word) - 1."""
-    lo, hi = _ends(_fold(_as_digits(word, "word")))
-    return IntervalQ(Fraction(*lo), Fraction(*hi))
+    return _interval(_fold(_as_digits(word, "word")))
 
 
 @dataclass(frozen=True)
@@ -93,15 +97,20 @@ class CoverMember:
 
 def member_of(word: Sequence[int]) -> CoverMember:
     digits = _as_digits(word, "word")
-    return CoverMember(len(digits) - 1, digits, interval_of(digits))
+    return CoverMember(len(digits) - 1, digits, _interval(_fold(digits)))
 
 
 def children(word: Sequence[int], k_max: int) -> list[CoverMember]:
-    """Members one level down obtained by appending k = 1..k_max."""
+    """Members one level down obtained by appending k = 1..k_max.
+
+    The parent is validated and folded once; each child pushes one digit.
+    """
     digits = _as_digits(word, "word")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    return [member_of(digits + (k,)) for k in range(1, k_max + 1)]
+    state, level = _fold(digits), len(digits)
+    return [CoverMember(level, digits + (k,), _interval(_fold((k,), state)))
+            for k in range(1, k_max + 1)]
 
 
 def locate(x: QuadraticSurd, level: int) -> CoverMember:

@@ -68,9 +68,12 @@ class QuadraticSurd:
         floor_q_sqrt = u if self.q > 0 else -u - 1
         return (self.p + floor_q_sqrt) // self.r
 
-    def recip_frac(self) -> QuadraticSurd:
-        """1/(s - floor(s)); always > 1, same radicand."""
-        p1 = self.p - self.floor() * self.r
+    def recip_frac(self, floor: int | None = None) -> QuadraticSurd:
+        """1/(s - floor(s)); always > 1, same radicand.
+
+        A caller that already holds floor(s) passes it, saving the isqrt.
+        """
+        p1 = self.p - (self.floor() if floor is None else floor) * self.r
         den = p1 * p1 - self.q * self.q * self.d  # never 0: d is not a square
         return QuadraticSurd(self.r * p1, -self.r * self.q, self.d, den)
 

@@ -8,18 +8,32 @@ standard open-ball phenomena on the finite model, check that the ball system
 equals the union of the partition levels plus the whole space, and embed the
 points isometrically into the non-negative integer-sequence space
 (``sierpinski_embed``).
+
+Each table is one integer matrix over a common scale, the lcm of its
+denominators, so decisions compare ints and ``Fraction``s are rebuilt only for
+answers and messages: d < r exactly when d * scale < ceil(r * scale), and a
+table is an ultrametric exactly when the Prim spanning tree's minimax
+distances reproduce it (``verify_ultrametric``, O(n^2)).  JSON inputs past
+``MAX_POINTS`` points, or ``MAX_MATRIX_BITS`` bits of matrix (points squared
+times the bits of the scale, which can grow without bound), are refused
+before any table is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, compress
+from math import lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .baire import BairePrefix
 from .rational import parse_rational
 from .report import PropertyCheck
+
+MAX_POINTS = 800
+MAX_MATRIX_BITS = 1 << 25
 
 
 class UnseparatedPairError(ValueError):
@@ -41,8 +55,10 @@ def _fmt_set(s: Iterable) -> str:
 class DistanceTable:
     """Symmetric table of exact positive distances over a finite id set.
 
-    ``matrix[i][j]`` is the distance between ``points[i]`` and ``points[j]``
-    (zero on the diagonal); ``index`` maps each point to its position.
+    ``rows[i][j] / scale`` is the distance between ``points[i]`` and
+    ``points[j]`` (zero on the diagonal), with ``scale`` the lcm of all the
+    distances' denominators, so ``rows`` is one matrix of ints; ``index``
+    maps each point to its position.
     """
 
     def __init__(self, points: Iterable, distances: Mapping):
@@ -74,23 +90,25 @@ class DistanceTable:
             if any(v is None for v in row):
                 j = row.index(None)
                 raise ValueError(f"missing distance for ({self.points[i]!r}, {self.points[j]!r})")
-        self.matrix: list[list[Fraction]] = m
+        self.scale: int = lcm(*{v.denominator for row in m for v in row})
+        self.rows = [[v.numerator * (self.scale // v.denominator) for v in row] for row in m]
+
+    def _frac(self, v: int) -> Fraction:
+        return Fraction(v, self.scale)
 
     def d(self, x, y) -> Fraction:
-        return self.matrix[self.index[x]][self.index[y]]
+        return self._frac(self.rows[self.index[x]][self.index[y]])
 
     def pairs(self):
-        pts = self.points
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                yield pts[i], pts[j]
+        return combinations(self.points, 2)
 
     def values(self) -> list[Fraction]:
         """Distinct positive distances, ascending."""
-        return sorted({v for i, row in enumerate(self.matrix) for v in row[i + 1 :]})
+        distinct = {v for i, row in enumerate(self.rows) for v in row[i + 1 :]}
+        return [self._frac(v) for v in sorted(distinct)]
 
     def same_table(self, other: "DistanceTable") -> bool:
-        return self.points == other.points and self.matrix == other.matrix
+        return (self.points, self.scale, self.rows) == (other.points, other.scale, other.rows)
 
     def as_json(self) -> dict:
         return {
@@ -104,7 +122,7 @@ class FiniteSpace(DistanceTable):
 
     def __init__(self, points: Iterable, distances: Mapping):
         super().__init__(points, distances)
-        pts, m = self.points, self.matrix
+        pts, m, q = self.points, self.rows, self._frac
         for i, row_i in enumerate(m):
             for j in range(i + 1, len(pts)):
                 row_j, dij = m[j], row_i[j]
@@ -113,9 +131,14 @@ class FiniteSpace(DistanceTable):
                     k = next(k for k in range(len(pts)) if row_i[k] + row_j[k] < dij)
                     x, y, z = pts[i], pts[j], pts[k]
                     raise ValueError(
-                        f"triangle inequality fails: d({x!r}, {y!r}) = {dij} > "
-                        f"d({x!r}, {z!r}) + d({z!r}, {y!r}) = {row_i[k]} + {row_j[k]}"
+                        f"triangle inequality fails: d({x!r}, {y!r}) = {q(dij)} > "
+                        f"d({x!r}, {z!r}) + d({z!r}, {y!r}) = {q(row_i[k])} + {q(row_j[k])}"
                     )
+
+
+def _check_points(n: int) -> None:
+    if n > MAX_POINTS:
+        raise ValueError(f"{n} points exceed the budget {MAX_POINTS}")
 
 
 def table_from_json(obj, require_metric: bool = False) -> DistanceTable:
@@ -124,6 +147,7 @@ def table_from_json(obj, require_metric: bool = False) -> DistanceTable:
     points = obj["points"]
     if not isinstance(points, list):
         raise ValueError("points must be a list of ids")
+    _check_points(len(points))
     for x in points:
         if not isinstance(x, (str, int)):
             raise ValueError(f"point id must be a string or integer: {x!r}")
@@ -133,6 +157,14 @@ def table_from_json(obj, require_metric: bool = False) -> DistanceTable:
             raise ValueError(f"bad dist row: {row!r}")
         x, y, v = row
         distances[(x, y)] = parse_rational(str(v))
+    # the lcm stops growing as soon as the matrix it implies passes the budget
+    scale, squared = 1, len(points) ** 2
+    for den in {v.denominator for v in distances.values()}:
+        scale = lcm(scale, den)
+        size = squared * scale.bit_length()
+        if size > MAX_MATRIX_BITS:
+            raise ValueError(
+                f"matrix of at least {size} bits exceeds the budget {MAX_MATRIX_BITS}")
     cls = FiniteSpace if require_metric else DistanceTable
     return cls(points, distances)
 
@@ -220,12 +252,19 @@ class CoverSequence:
 def covers_from_json(obj) -> CoverSequence:
     if not isinstance(obj, dict) or "levels" not in obj or not isinstance(obj["levels"], list):
         raise ValueError('expected {"levels": [[[id, ...], ...], ...]}')
+    first = obj["levels"][0] if obj["levels"] else []
+    if isinstance(first, list):
+        _check_points(sum(len(b) for b in first if isinstance(b, list)))
     return CoverSequence(obj["levels"])
 
 
 def _ball(table: DistanceTable, i: int, r: Fraction) -> frozenset:
-    """Open ball of radius r around the point at position i."""
-    return frozenset(y for y, v in zip(table.points, table.matrix[i]) if v < r)
+    """Open ball of radius r around the point at position i.
+
+    An int entry v lies below r * scale exactly when v < ceil(r * scale).
+    """
+    below = -(-r.numerator * table.scale // r.denominator)
+    return frozenset(compress(table.points, map(below.__gt__, table.rows[i])))
 
 
 def _radii(table: DistanceTable) -> list[Fraction]:
@@ -249,26 +288,19 @@ def build_cover_sequence(space: FiniteSpace, depth: int) -> CoverSequence:
         raise ValueError(f"depth must be >= 1, got {depth}")
     pts = space.points
     ground = frozenset(pts)
-    levels: list[list[frozenset]] = []
-    prev: list[frozenset] = [ground]
+    levels: list[list[frozenset]] = [[ground]]
     for i in range(depth):
         radius = Fraction(1, 2 ** (i + 2))
         balls = [_ball(space, k, radius) for k in range(len(pts))]
-        pieces = [nb & u for u in prev for nb in balls]
-        level = disjointify(pieces, ground)
-        levels.append(level)
-        prev = level
-    seq = CoverSequence(levels)
+        levels.append(disjointify([nb & u for u in levels[-1] for nb in balls], ground))
+    seq = CoverSequence(levels[1:])
     for li, blocks in enumerate(seq.levels):
-        bound = Fraction(1, 2 ** (li + 1))
+        limit = space.scale >> (li + 1)  # an int v > scale / 2^(li+1) exactly when v > limit
         for b in blocks:
-            members = sorted(b, key=_id_key)
-            for a_i, x in enumerate(members):
-                for y in members[a_i + 1 :]:
-                    if space.d(x, y) > bound:
-                        raise RuntimeError(
-                            f"internal error: level {li} block exceeds diameter {bound}"
-                        )
+            members = [space.index[x] for x in b]
+            if any(max(map(space.rows[a].__getitem__, members)) > limit for a in members):
+                bound = Fraction(1, 2 ** (li + 1))
+                raise RuntimeError(f"internal error: level {li} block exceeds diameter {bound}")
     return seq
 
 
@@ -281,11 +313,8 @@ def ultrametric_from_covers(seq: CoverSequence, ground: Iterable) -> DistanceTab
     distances: dict[tuple, Fraction] = {}
     for i, x in enumerate(pts):
         for y in pts[i + 1 :]:
-            k = None
-            for level in range(seq.depth):
-                if seq.block_index_of(level, x) != seq.block_index_of(level, y):
-                    k = level
-                    break
+            k = next((level for level in range(seq.depth)
+                      if seq.block_index_of(level, x) != seq.block_index_of(level, y)), None)
             if k is None:
                 raise UnseparatedPairError(
                     (x, y),
@@ -313,33 +342,61 @@ class UltrametricReport:
 
 
 def verify_ultrametric(table: DistanceTable) -> UltrametricReport:
-    """Strong triangle inequality plus the two-largest-sides-equal property."""
-    strong = PropertyCheck.ok()
-    isosceles = PropertyCheck.ok()
-    pts, m = table.points, table.matrix
-    n = len(pts)
+    """Strong triangle inequality plus the two-largest-sides-equal property.
+
+    A table is an ultrametric exactly when it equals its subdominant
+    ultrametric, the minimax path distance, which a minimum spanning tree
+    realizes (Gower & Ross 1969).  Prim's algorithm grows the tree; when v
+    joins through p by an edge h, its minimax distance to every earlier tree
+    vertex u is max(h, d(p, u)), as long as the table has matched so far.  If
+    every value matches, the strong inequality holds on every triple, and so
+    does the isosceles property: O(n^2) work.  Only on a mismatch are the
+    triples scanned in order, to name the first failing ones.
+    """
+    m, n = table.rows, len(table.rows)
+    best, parent = (list(m[0]) if n else []), [0] * n  # shortest edge into the tree
+    tree, todo = [0], set(range(1, n))
+    while todo:
+        v = min(todo, key=best.__getitem__)
+        row_v, row_p, h = m[v], m[parent[v]], best[v]
+        if any(row_v[u] != max(h, row_p[u]) for u in tree):
+            return _first_failing_triples(table)
+        tree.append(v)
+        todo.remove(v)
+        for u in todo:
+            if row_v[u] < best[u]:
+                best[u], parent[u] = row_v[u], v
+    return UltrametricReport(PropertyCheck.ok(), PropertyCheck.ok())
+
+
+def _first_failing_triples(table: DistanceTable) -> UltrametricReport:
+    """Scan i < j < k in order for the first failure of each property."""
+    strong = isosceles = PropertyCheck.ok()
+    pts, m, q, n = table.points, table.rows, table._frac, len(table.points)
     for i, row_i in enumerate(m):
         for j in range(i + 1, n):
             row_j, dij = m[j], row_i[j]
             for k in range(j + 1, n):
                 dik, djk = row_i[k], row_j[k]
-                sides = sorted(
-                    [(dij, pts[i], pts[j]), (dik, pts[i], pts[k]), (djk, pts[j], pts[k])]
-                    , key=lambda t: t[0]
-                )
+                sides = sorted([(dij, pts[i], pts[j]), (dik, pts[i], pts[k]),
+                                (djk, pts[j], pts[k])], key=lambda t: t[0])
                 if strong.passed and sides[2][0] > sides[1][0]:
                     v, x, y = sides[2]
                     strong = PropertyCheck.fail(
-                        f"d({x}, {y}) = {v} > max of the other two sides = {sides[1][0]}"
+                        f"d({x}, {y}) = {q(v)} > max of the other two sides = {q(sides[1][0])}"
                     )
                 if isosceles.passed and len({dij, dik, djk}) == 3:
                     isosceles = PropertyCheck.fail(
                         f"all three sides differ on ({pts[i]}, {pts[j]}, {pts[k]}): "
-                        f"{dij}, {dik}, {djk}"
+                        f"{q(dij)}, {q(dik)}, {q(djk)}"
                     )
                 if not strong.passed and not isosceles.passed:
                     return UltrametricReport(strong, isosceles)
     return UltrametricReport(strong, isosceles)
+
+
+_BALL_CHECKS = ("precondition_ultrametric", "nesting", "same_radius_coincide",
+                "every_point_centers", "closed_ball_absorption", "equal_radius_partition")
 
 
 @dataclass(frozen=True)
@@ -360,26 +417,11 @@ class BallPropertiesReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(
-            c.passed
-            for c in (
-                self.precondition_ultrametric,
-                self.nesting,
-                self.same_radius_coincide,
-                self.every_point_centers,
-                self.closed_ball_absorption,
-                self.equal_radius_partition,
-            )
-        )
+        return all(getattr(self, name).passed for name in _BALL_CHECKS)
 
     def as_json(self) -> dict:
         return {
-            "precondition_ultrametric": self.precondition_ultrametric.as_json(),
-            "nesting": self.nesting.as_json(),
-            "same_radius_coincide": self.same_radius_coincide.as_json(),
-            "every_point_centers": self.every_point_centers.as_json(),
-            "closed_ball_absorption": self.closed_ball_absorption.as_json(),
-            "equal_radius_partition": self.equal_radius_partition.as_json(),
+            **{name: getattr(self, name).as_json() for name in _BALL_CHECKS},
             "passed": self.all_passed,
         }
 
@@ -398,14 +440,8 @@ def verify_ball_properties(table: DistanceTable) -> BallPropertiesReport:
 
     pts = table.points
     all_points = frozenset(pts)
-    nesting = PropertyCheck.ok()
-    coincide = PropertyCheck.ok()
-    centers = PropertyCheck.ok()
-    absorption = PropertyCheck.ok()
-    partition = PropertyCheck.ok()
-    prev_ball_of: dict = {}
-    prev_distinct: list[frozenset] = []
-    prev_r: Fraction | None = None
+    nesting = coincide = centers = absorption = partition = PropertyCheck.ok()
+    prev_ball_of, prev_distinct, prev_r = {}, [], None
 
     for r in _radii(table):
         ball_of = {x: _ball(table, i, r) for i, x in enumerate(pts)}
@@ -414,38 +450,30 @@ def verify_ball_properties(table: DistanceTable) -> BallPropertiesReport:
             owner.setdefault(ball_of[x], set()).add(x)
         distinct = sorted(owner, key=lambda b: _id_key(min(b, key=_id_key)))
         if coincide.passed and sum(len(b) for b in distinct) != len(pts):
-            for a_i, b1 in enumerate(distinct):
-                for b2 in distinct[a_i + 1 :]:
-                    if b1 & b2:
-                        coincide = PropertyCheck.fail(
-                            f"radius {r}: distinct balls {_fmt_set(b1)} and {_fmt_set(b2)} meet"
-                        )
-                        break
-                if not coincide.passed:
-                    break
+            # every point lies in its own ball, so the balls overlap somewhere
+            b1, b2 = next((b1, b2) for a_i, b1 in enumerate(distinct)
+                          for b2 in distinct[a_i + 1 :] if b1 & b2)
+            coincide = PropertyCheck.fail(
+                f"radius {r}: distinct balls {_fmt_set(b1)} and {_fmt_set(b2)} meet"
+            )
         if centers.passed:
             # ball around every member of B equals B, i.e. the points whose
             # ball is B are exactly the members of B
-            for b in distinct:
-                if owner[b] != set(b):
-                    y = min((set(b) - owner[b]) or (owner[b] - set(b)), key=_id_key)
-                    centers = PropertyCheck.fail(
-                        f"radius {r}: ball at {y} differs from the ball {_fmt_set(b)}"
-                    )
-                    break
+            b = next((b for b in distinct if owner[b] != set(b)), None)
+            if b is not None:
+                y = min((set(b) - owner[b]) or (owner[b] - set(b)), key=_id_key)
+                centers = PropertyCheck.fail(
+                    f"radius {r}: ball at {y} differs from the ball {_fmt_set(b)}"
+                )
         if absorption.passed and prev_r is not None:
             # the closed balls at prev_r are the open balls at r; at the last
             # radius every ball is the whole space, so absorption is trivial there
-            for s_set in distinct:
-                for x in s_set:
-                    if not prev_ball_of[x] <= s_set:
-                        absorption = PropertyCheck.fail(
-                            f"radius {prev_r}: open ball at {x} leaves the closed ball "
-                            f"{_fmt_set(s_set)}"
-                        )
-                        break
-                if not absorption.passed:
-                    break
+            bad = next(((x, s) for s in distinct for x in s if not prev_ball_of[x] <= s), None)
+            if bad is not None:
+                absorption = PropertyCheck.fail(
+                    f"radius {prev_r}: open ball at {bad[0]} leaves the closed ball "
+                    f"{_fmt_set(bad[1])}"
+                )
         if partition.passed:
             union = frozenset().union(*distinct) if distinct else frozenset()
             if union != all_points or sum(len(b) for b in distinct) != len(pts):
@@ -456,14 +484,12 @@ def verify_ball_properties(table: DistanceTable) -> BallPropertiesReport:
             # a ball at the smaller radius sits inside the ball at the larger
             # radius around any of its members; with same-radius disjointness
             # this pins down every intersecting pair across any radius gap
-            for b in prev_distinct:
-                c = ball_of[next(iter(b))]
-                if not b <= c:
-                    nesting = PropertyCheck.fail(
-                        f"radii {prev_r} <= {r}: ball {_fmt_set(b)} is not inside "
-                        f"{_fmt_set(c)}"
-                    )
-                    break
+            b = next((b for b in prev_distinct if not b <= ball_of[next(iter(b))]), None)
+            if b is not None:
+                nesting = PropertyCheck.fail(
+                    f"radii {prev_r} <= {r}: ball {_fmt_set(b)} is not inside "
+                    f"{_fmt_set(ball_of[next(iter(b))])}"
+                )
         prev_ball_of, prev_distinct, prev_r = ball_of, distinct, r
 
     return BallPropertiesReport(um, nesting, coincide, centers, absorption, partition)

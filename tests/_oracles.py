@@ -21,6 +21,7 @@ import bairecf.cover as cover
 from bairecf import QuadraticSurd
 from bairecf.cover import CoverMember, CoverReport, IntervalQ, _ends
 from bairecf.report import PropertyCheck
+from bairecf.ultra import UltrametricReport
 
 
 def mobius_surd(a, b, c, d, s: QuadraticSurd) -> QuadraticSurd:
@@ -217,6 +218,40 @@ def triangle_failure(table):
                 if z not in (x, y) and table.d(x, y) > table.d(x, z) + table.d(z, y):
                     return x, y, z
     return None
+
+
+def ultrametric_scan_oracle(table) -> UltrametricReport:
+    """Every triple i < j < k in lexicographic order, on ``Fraction``s: the
+    first triple whose unique largest side breaks the strong triangle
+    inequality and the first with three distinct sides, stopping once both
+    are found."""
+    strong = PropertyCheck.ok()
+    isosceles = PropertyCheck.ok()
+    pts = table.points
+    n = len(pts)
+    m = [[table.d(x, y) for y in pts] for x in pts]
+    for i, row_i in enumerate(m):
+        for j in range(i + 1, n):
+            row_j, dij = m[j], row_i[j]
+            for k in range(j + 1, n):
+                dik, djk = row_i[k], row_j[k]
+                sides = sorted(
+                    [(dij, pts[i], pts[j]), (dik, pts[i], pts[k]), (djk, pts[j], pts[k])],
+                    key=lambda t: t[0],
+                )
+                if strong.passed and sides[2][0] > sides[1][0]:
+                    v, x, y = sides[2]
+                    strong = PropertyCheck.fail(
+                        f"d({x}, {y}) = {v} > max of the other two sides = {sides[1][0]}"
+                    )
+                if isosceles.passed and len({dij, dik, djk}) == 3:
+                    isosceles = PropertyCheck.fail(
+                        f"all three sides differ on ({pts[i]}, {pts[j]}, {pts[k]}): "
+                        f"{dij}, {dik}, {djk}"
+                    )
+                if not strong.passed and not isosceles.passed:
+                    return UltrametricReport(strong, isosceles)
+    return UltrametricReport(strong, isosceles)
 
 
 def midpoint_radii(table) -> list:

@@ -15,6 +15,7 @@ from bairecf import (
     interval_of,
     parse_cf,
 )
+from bairecf.surd import QuadraticSurd
 
 from _oracles import NAMED_SURDS, fold_value, interval_oracle, periodic_surd
 
@@ -172,6 +173,18 @@ def test_expand_surd_matches_periodic_oracle():
         depth = 12
         want = (head + block * depth)[: depth + 1]
         assert expand_surd(s, depth) == want
+
+
+def test_expand_surd_takes_one_floor_per_digit(monkeypatch):
+    calls = []
+    floor = QuadraticSurd.floor
+    monkeypatch.setattr(QuadraticSurd, "floor", lambda s: calls.append(s) or floor(s))
+    for name in ("sqrt2", "golden", "minus_sqrt2", "sqrt7"):
+        calls.clear()
+        assert expand_surd(NAMED_SURDS[name], 20)[0] == floor(NAMED_SURDS[name])
+        assert len(calls) == 21
+    s = NAMED_SURDS["sqrt7"]
+    assert s.recip_frac(floor(s)) == s.recip_frac()
 
 
 def test_expand_surd_known_periodic_words():

@@ -130,6 +130,19 @@ def test_cover_verify_word_budget(monkeypatch):
     assert "verifier reached" in run(["cover", "verify", "--digit-max", str(-(10**40))]).err
 
 
+def test_ultra_point_budget(tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"points": list(range(801)), "dist": []}))
+    covers = tmp_path / "covers.json"
+    covers.write_text(json.dumps({"levels": [[list(range(801))]]}))
+    for argv in (["ultra", "verify", str(table)], ["ultra", "build", str(table), "--depth", "2"],
+                 ["ultra", "base-eq", str(table), "--depth", "2"], ["embed", str(table)],
+                 ["ultra", "base-eq", str(covers), "--covers"]):
+        res = run(argv)
+        assert (res.exit_code, res.out) == (1, ""), argv
+        assert "801 points exceed the budget 800" in res.err, argv
+
+
 def test_homeo_commands():
     res = run(["homeo", "fwd", "(1)~(2)", "--depth", "3"])
     assert (res.exit_code, res.out) == (0, "(24/17, 17/12) midpoint 577/408")

@@ -87,6 +87,28 @@ def test_member_of_levels():
     assert m.interval == interval_of((1, 2))
 
 
+def test_member_of_and_children_validate_and_fold_once(monkeypatch):
+    rng = random.Random(2718)
+    words = [(rng.randint(-5, 5),) + tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 6)))
+             for _ in range(60)]
+    expected = {w: (interval_of(w), [(w + (k,), interval_of(w + (k,))) for k in range(1, 6)])
+                for w in words}
+    checked = []
+    as_digits = cover._as_digits
+    monkeypatch.setattr(cover, "_as_digits",
+                        lambda w, what: checked.append(w) or as_digits(w, what))
+    for w in words:
+        checked.clear()
+        kids = children(list(w), 5)
+        assert [(m.level, m.word, m.interval) for m in kids] == [
+            (len(w), word, iv) for word, iv in expected[w][1]]
+        assert len(checked) == 1
+        checked.clear()
+        m = member_of(list(w))
+        assert (m.level, m.word, m.interval) == (len(w) - 1, w, expected[w][0])
+        assert len(checked) == 1
+
+
 def test_children_nest_and_are_disjoint():
     words = [(0,), (3,), (-2, 4), (1, 2, 2), (2, 1, 3, 1)]
     for word in words:

@@ -1,16 +1,21 @@
 """Tests for the finite-model partition/ultrametric laboratory."""
 
 import random
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+import bairecf.ultra as ultra
 from _oracles import (
     ball_properties_hold,
     ball_system,
     closed_ball,
     midpoint_radii,
+    open_ball,
     triangle_failure,
+    ultrametric_scan_oracle,
 )
 from bairecf import (
     CoverSequence,
@@ -337,17 +342,23 @@ def _random_table(rng, n):
     return DistanceTable(range(n), dist)
 
 
+def _tree_heights(rng, ids, height):
+    """Ultrametric of a random merge tree over ids; ``height()`` gives increments."""
+    clusters = [[x] for x in ids]
+    dist = {}
+    h = Fraction(0)
+    while len(clusters) > 1:
+        if h == 0 or rng.random() < 0.6:
+            h += height()
+        a, b = sorted(rng.sample(range(len(clusters)), 2))
+        dist.update({(x, y): h for x in clusters[a] for y in clusters[b]})
+        clusters[a] += clusters.pop(b)
+    return dist
+
+
 def _merge_tree_table(rng, n):
     """Ultrametric of a random merge tree: clusters join at non-decreasing heights."""
-    clusters = [[i] for i in range(n)]
-    dist = {}
-    height = Fraction(0)
-    while len(clusters) > 1:
-        if height == 0 or rng.random() < 0.6:
-            height += Fraction(rng.randint(1, 4), rng.randint(1, 4))
-        a, b = sorted(rng.sample(range(len(clusters)), 2))
-        dist.update({(x, y): height for x in clusters[a] for y in clusters[b]})
-        clusters[a] += clusters.pop(b)
+    dist = _tree_heights(rng, range(n), lambda: Fraction(rng.randint(1, 4), rng.randint(1, 4)))
     return DistanceTable(range(n), dist)
 
 
@@ -460,3 +471,152 @@ def test_covers_json_round_trip():
         covers_from_json({"nope": []})
     with pytest.raises(ValueError):
         covers_from_json([])
+
+
+# --- differential checks against the Fraction oracles ---
+
+
+def _mixed_ids(rng, n):
+    """n distinct ids, integers and strings mixed."""
+    return [x if rng.random() < 0.5 else f"p{x}" for x in rng.sample(range(40), n)]
+
+
+def _table_kind(rng, kind, ids):
+    pairs = [(x, y) for i, x in enumerate(ids) for y in ids[i + 1 :]]
+    if kind == "tree":
+        return _tree_heights(rng, ids, lambda: Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+    if kind == "perturbed":
+        dist = _tree_heights(rng, ids, lambda: Fraction(rng.randint(1, 3)))
+        if dist:
+            key = rng.choice(sorted(dist, key=str))
+            dist[key] = max(Fraction(1, 7), dist[key] + rng.choice([-1, 1]) * Fraction(1, 7))
+        return dist
+    if kind == "arbitrary":
+        return {p: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for p in pairs}
+    if kind == "few":
+        return {p: Fraction(rng.randint(1, 3), 2) for p in pairs}
+    # coprime denominators: the common scale is their product
+    return {p: Fraction(rng.randint(1, 40), rng.choice([3, 5, 7, 11, 13])) for p in pairs}
+
+
+def _ball_report_oracle(table):
+    """``verify_ball_properties`` with its balls, radii and ultrametric test
+    replaced by brute-force ``Fraction`` versions."""
+    def radii(t):
+        vals = sorted({t.d(x, y) for x, y in t.pairs()})
+        return vals + [(vals[-1] if vals else Fraction(0)) + 1]
+
+    with mock.patch.multiple(
+        ultra,
+        _ball=lambda t, i, r: open_ball(t, t.points[i], r),
+        _radii=radii,
+        verify_ultrametric=ultrametric_scan_oracle,
+    ):
+        return ultra.verify_ball_properties(table)
+
+
+def test_reports_match_fraction_oracles():
+    rng = random.Random(24680)
+    kinds = ("tree", "perturbed", "arbitrary", "few", "coprime")
+    verdicts = {kind: set() for kind in kinds}
+    for trial in range(1000):
+        kind = kinds[trial % len(kinds)]
+        ids = _mixed_ids(rng, rng.randint(0, 12))
+        dist = _table_kind(rng, kind, ids)
+        table = DistanceTable(ids, dist)
+        um = verify_ultrametric(table)
+        assert um == ultrametric_scan_oracle(table), (kind, table.as_json())
+        assert verify_ball_properties(table) == _ball_report_oracle(table), (kind, table.as_json())
+        verdicts[kind].add(um.all_passed)
+        bad = triangle_failure(table)
+        if bad is None:
+            assert FiniteSpace(ids, dist).same_table(table)
+            continue
+        x, y, z = bad
+        with pytest.raises(ValueError) as exc:
+            FiniteSpace(ids, dist)
+        assert str(exc.value) == (
+            f"triangle inequality fails: d({x!r}, {y!r}) = {table.d(x, y)} > "
+            f"d({x!r}, {z!r}) + d({z!r}, {y!r}) = {table.d(x, z)} + {table.d(z, y)}"
+        )
+    assert verdicts["tree"] == {True}
+    assert verdicts["perturbed"] == verdicts["arbitrary"] == {True, False}
+
+
+def test_ball_radius_boundaries():
+    # a distance equal to the radius stays outside the open ball
+    t = _table("abc", [("a", "b", Fraction(1, 4)), ("a", "c", Fraction(1, 3)), ("b", "c", 1)])
+    assert _ball(t, 0, Fraction(1, 4)) == {"a"}
+    assert _ball(t, 0, Fraction(1, 3)) == {"a", "b"}
+    assert _ball(t, 0, Fraction(1, 3) + Fraction(1, 10**30)) == {"a", "b", "c"}
+    # denominators 3, 5 and 7 against the cover radii 1/2^(i+2): r times the
+    # common denominator 105 is never an integer, and distances k/105 sit on
+    # both sides of every radius
+    pts = list(range(31))
+    dist = {(0, k): Fraction(k, 105) for k in range(1, 31)}
+    dist.update({(j, k): 1 for j in range(1, 31) for k in range(j + 1, 31)})
+    t = DistanceTable(pts, dist)
+    for level in range(6):
+        r = Fraction(1, 2 ** (level + 2))
+        for i, x in enumerate(t.points):
+            assert _ball(t, i, r) == open_ball(t, x, r)
+        assert len(_ball(t, 0, r)) == 1 + 105 // 2 ** (level + 2)
+
+
+def test_verify_ultrametric_tied_and_tiny_tables():
+    for n, dist in ((0, {}), (1, {}), (2, {(0, 1): 2})):
+        assert verify_ultrametric(DistanceTable(range(n), dist)).all_passed
+    # every edge tied: any spanning tree is minimal
+    equal = DistanceTable(range(5), {(i, j): 3 for i in range(5) for j in range(i + 1, 5)})
+    assert verify_ultrametric(equal).all_passed
+    # tied tree edges along a path, with the far pair too long
+    path = _table("abc", [("a", "b", 1), ("b", "c", 1), ("a", "c", 2)])
+    rep = verify_ultrametric(path)
+    assert rep == ultrametric_scan_oracle(path)
+    assert rep.strong_triangle.counterexample == "d(a, c) = 2 > max of the other two sides = 1"
+    assert rep.isosceles.passed
+    # two tied clusters joined at one height, then one pair lowered
+    dist = {(x, y): (1 if (x < 2) == (y < 2) else 2) for x in range(4) for y in range(x + 1, 4)}
+    assert verify_ultrametric(DistanceTable(range(4), dist)).all_passed
+    dist[(1, 3)] = 1
+    low = DistanceTable(range(4), dist)
+    assert verify_ultrametric(low) == ultrametric_scan_oracle(low)
+    assert not verify_ultrametric(low).all_passed
+
+
+def _primes_below(limit):
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for k in range(2, int(limit**0.5) + 1):
+        if sieve[k]:
+            sieve[k * k :: k] = bytearray(len(sieve[k * k :: k]))
+    return [k for k in range(limit) if sieve[k]]
+
+
+def test_json_budgets_refuse_before_any_table(monkeypatch):
+    built = []
+    monkeypatch.setattr(ultra.DistanceTable, "__init__", lambda self, *args: built.append(args))
+    monkeypatch.setattr(ultra.CoverSequence, "__init__", lambda self, *args: built.append(args))
+    assert (ultra.MAX_POINTS, ultra.MAX_MATRIX_BITS) == (800, 1 << 25)
+    n = ultra.MAX_POINTS + 1
+    with pytest.raises(ValueError, match="^801 points exceed the budget 800$"):
+        table_from_json({"points": list(range(n)), "dist": []})
+    with pytest.raises(ValueError, match="^801 points exceed the budget 800$"):
+        covers_from_json({"levels": [[list(range(400)), list(range(400, n))], [[0]]]})
+    assert not built
+    # distinct prime denominators: the common scale is their product, and its
+    # lcm stops at the first prime that takes the matrix past the budget
+    pairs = [(i, j) for i in range(100) for j in range(i + 1, 100)]
+    obj = {"points": list(range(100)),
+           "dist": [[i, j, f"1/{p}"] for (i, j), p in zip(pairs, _primes_below(1 << 16))]}
+    assert len(obj["dist"]) == len(pairs)
+    with pytest.raises(ValueError) as exc:
+        table_from_json(obj)
+    size = re.fullmatch(r"matrix of at least (\d+) bits exceeds the budget 33554432",
+                        str(exc.value))
+    assert 0 < int(size.group(1)) - (1 << 25) <= 100 * 100 * 16
+    assert not built
+    # at the budgets the table is built
+    table_from_json({"points": list(range(ultra.MAX_POINTS)), "dist": []})
+    covers_from_json({"levels": [[list(range(ultra.MAX_POINTS))]]})
+    assert len(built) == 2
