@@ -7,6 +7,9 @@ over truncated points are tagged: EXACT when the first disagreement index was
 observed, or when equality is decidable from the periodic normal forms; AT_MOST
 when the inspected window showed no disagreement.  AT_MOST is a finite-precision
 report, not a value of the underlying metric, which lives on total sequences.
+Points are parsed, validated, compared, sliced and printed by builtin scans
+(``map``, ``all``, ``min``, ``compress``, ``islice``) whose per-entry loop runs
+in C; a Python loop runs only to name the first offending entry.
 """
 
 from __future__ import annotations
@@ -14,10 +17,24 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, cycle, islice, repeat
+from operator import ne
 
 
 class InsufficientPrecisionError(ValueError):
     """A point was consulted past its known entries and it has no tail."""
+
+
+def _require_ints(block: tuple, what: str) -> None:
+    if not all(map(isinstance, block, repeat(int))):
+        i = next(i for i, e in enumerate(block) if not isinstance(e, int))
+        raise ValueError(f"{what} {i} is not an integer: {block[i]!r}")
+
+
+def _require_at_least(block: tuple, lo: int, what: str, start: int = 0) -> None:
+    if min(islice(block, start, None), default=lo) < lo:
+        i = next(i for i in range(start, len(block)) if block[i] < lo)
+        raise ValueError(f"{what} {i} must be >= {lo}, got {block[i]}")
 
 
 def _primitive_block(block: tuple[int, ...]) -> tuple[int, ...]:
@@ -39,13 +56,9 @@ class _SeqPoint:
             object.__setattr__(self, "tail", tuple(self.tail))
             if len(self.tail) == 0:
                 raise ValueError("tail block must be non-empty")
-        for i, e in enumerate(self.entries):
-            if not isinstance(e, int):
-                raise ValueError(f"entry {i} is not an integer: {e!r}")
+        _require_ints(self.entries, "entry")
         if self.tail is not None:
-            for i, e in enumerate(self.tail):
-                if not isinstance(e, int):
-                    raise ValueError(f"tail entry {i} is not an integer: {e!r}")
+            _require_ints(self.tail, "tail entry")
         self._validate()
 
     def _validate(self) -> None:
@@ -69,13 +82,17 @@ class _SeqPoint:
             )
         return self.tail[(i - len(self.entries)) % len(self.tail)]
 
+    def _stream(self):
+        """Entries at indices 0, 1, ..., lazily: the tail repeats forever."""
+        return chain(self.entries, cycle(self.tail or ()))
+
     def prefix(self, n: int) -> tuple[int, ...]:
         """Entries at indices 0..n-1."""
         if not self.defined_through(n):
             raise InsufficientPrecisionError(
                 f"{self} is only known through index {len(self.entries) - 1}, need {n - 1}"
             )
-        return tuple(self.value_at(i) for i in range(n))
+        return tuple(islice(self._stream(), max(n, 0)))
 
     def normal_form(self) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
         """Canonical (entries, tail): primitive period, shortest pre-period."""
@@ -96,28 +113,20 @@ class BairePrefix(_SeqPoint):
     """Point of the space of sequences of non-negative integers."""
 
     def _validate(self) -> None:
-        for i, e in enumerate(self.entries):
-            if e < 0:
-                raise ValueError(f"entry {i} must be >= 0, got {e}")
+        _require_at_least(self.entries, 0, "entry")
         if self.tail is not None:
-            for i, e in enumerate(self.tail):
-                if e < 0:
-                    raise ValueError(f"tail entry {i} must be >= 0, got {e}")
+            _require_at_least(self.tail, 0, "tail entry")
 
 
 class Baire2Prefix(_SeqPoint):
     """Point with an arbitrary integer at index 0 and positive integers after."""
 
     def _validate(self) -> None:
-        for i, e in enumerate(self.entries):
-            if i >= 1 and e < 1:
-                raise ValueError(f"entry {i} must be >= 1, got {e}")
+        _require_at_least(self.entries, 1, "entry", start=1)
         if self.tail is not None:
             # The tail repeats from index >= 1 eventually, so every block
             # entry must satisfy the >= 1 constraint.
-            for i, e in enumerate(self.tail):
-                if e < 1:
-                    raise ValueError(f"tail entry {i} must be >= 1, got {e}")
+            _require_at_least(self.tail, 1, "tail entry")
 
 
 @dataclass(frozen=True)
@@ -148,10 +157,7 @@ def first_difference(f: _SeqPoint, g: _SeqPoint, bound: int) -> int | None:
             raise InsufficientPrecisionError(
                 f"{h} is not defined through index {bound - 1}"
             )
-    for n in range(bound):
-        if f.value_at(n) != g.value_at(n):
-            return n
-    return None
+    return next(compress(range(bound), map(ne, f._stream(), g._stream())), None)
 
 
 def baire_distance(f: _SeqPoint, g: _SeqPoint, bound: int) -> Distance:
@@ -229,19 +235,18 @@ def psi_inverse(p: Baire2Prefix) -> BairePrefix:
 
 
 _POINT_RE = re.compile(r"\s*\(([^()~]*)\)\s*(?:~\s*\(([^()~]*)\)\s*)?$")
+_INT_RE = re.compile(r"-?\d+")
 
 
 def _parse_int_list(body: str, what: str) -> tuple[int, ...]:
     body = body.strip()
     if not body:
         return ()
-    out = []
-    for tok in body.split(","):
-        tok = tok.strip()
-        if not re.fullmatch(r"-?\d+", tok):
-            raise ValueError(f"bad {what} entry: {tok!r}")
-        out.append(int(tok))
-    return tuple(out)
+    toks = list(map(str.strip, body.split(",")))
+    if not all(map(_INT_RE.fullmatch, toks)):
+        bad = next(tok for tok in toks if not _INT_RE.fullmatch(tok))
+        raise ValueError(f"bad {what} entry: {bad!r}")
+    return tuple(map(int, toks))
 
 
 def parse_point(text: str, cls: type = BairePrefix) -> _SeqPoint:
@@ -259,7 +264,7 @@ def parse_point(text: str, cls: type = BairePrefix) -> _SeqPoint:
 
 
 def format_point(p: _SeqPoint) -> str:
-    body = "(" + ",".join(str(e) for e in p.entries) + ")"
+    body = "(" + ",".join(map(str, p.entries)) + ")"
     if p.tail is not None:
-        body += "~(" + ",".join(str(e) for e in p.tail) + ")"
+        body += "~(" + ",".join(map(str, p.tail)) + ")"
     return body

@@ -6,7 +6,9 @@ any integer and every later digit a positive integer.  Canonical words (the
 than one digit, which makes rational -> word one-to-one.  Evaluation and tail
 substitution accept arbitrary valid digit sequences, canonical or not.  Values,
 tails and convergents all come from one integer fold of the convergent
-recurrence (Khinchin, *Continued Fractions*, section 2).
+recurrence (Khinchin, *Continued Fractions*, section 2).  Words are checked
+and printed by builtin scans (``all``, ``min``, ``map`` over ``islice``) whose
+per-digit loop runs in C; a Python loop runs only to name the first bad digit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
 from typing import Sequence
 
 from .rational import euclid_div
@@ -26,11 +29,13 @@ def _as_digits(w, what: str = "digit sequence") -> tuple[int, ...]:
     digits = tuple(w)
     if not digits:
         raise ValueError(f"{what} must have at least one digit")
-    for i, a in enumerate(digits):
-        if not isinstance(a, int):
-            raise ValueError(f"{what}: digit {i} is not an integer: {a!r}")
-        if i >= 1 and a < 1:
-            raise ValueError(f"{what}: digit {i} must be >= 1, got {a}")
+    if not (all(map(isinstance, digits, repeat(int)))
+            and min(islice(digits, 1, None), default=1) >= 1):
+        for i, a in enumerate(digits):
+            if not isinstance(a, int):
+                raise ValueError(f"{what}: digit {i} is not an integer: {a!r}")
+            if i >= 1 and a < 1:
+                raise ValueError(f"{what}: digit {i} must be >= 1, got {a}")
     return digits
 
 
@@ -143,7 +148,7 @@ def parse_cf(text: str) -> tuple[int, ...]:
         raise ValueError(f"not a continued-fraction word: {text!r}")
     digits = [int(m.group(1))]
     if m.group(2):
-        digits.extend(int(tok) for tok in m.group(2).split(","))
+        digits.extend(map(int, m.group(2).split(",")))
     return _as_digits(digits)
 
 
@@ -151,4 +156,4 @@ def format_cf(w: "CFWord | Sequence[int]") -> str:
     digits = w.digits if isinstance(w, CFWord) else tuple(w)
     if len(digits) == 1:
         return f"[{digits[0]}]"
-    return f"[{digits[0]}; " + ", ".join(str(a) for a in digits[1:]) + "]"
+    return f"[{digits[0]}; " + ", ".join(map(str, islice(digits, 1, None))) + "]"

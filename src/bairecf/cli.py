@@ -5,16 +5,22 @@ without it a short human-readable text form is printed.  Exit codes: 0 on
 success, 1 for bad input or unreadable files, 2 for usage errors, 3 when a
 verification command ran and found a violation.
 
-Depth-like arguments (--depth, --bound, --max-level) are capped by the
-BAIRECF_MAX_DEPTH environment variable (default 64); ``cover verify`` slices
-are capped at MAX_COVER_WORDS words before anything is built, and ``ultra`` and
-``embed`` inputs at ``ultra.MAX_POINTS`` points and ``ultra.MAX_MATRIX_BITS``
-bits of matrix when their JSON is read.
+Depth-like arguments (--depth, --bound, --max-level) and the level count of
+a covers file are capped by the BAIRECF_MAX_DEPTH environment variable
+(default 64); ``cover verify`` slices are capped at MAX_COVER_WORDS words
+before anything is built, and ``ultra`` and ``embed`` inputs at
+``ultra.MAX_POINTS`` points and ``ultra.MAX_MATRIX_BITS`` bits of matrix when
+their JSON is read.
+
+``run`` reuses one argparse tree per process, built on first use (parsing
+reads no environment; the cap is read as each command runs).  Handlers are
+bound into it then, so patch the module functions they call, not ``_cmd_*``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -363,7 +369,7 @@ def _cmd_ultra_verify(args) -> _Output:
 def _cmd_ultra_base_eq(args) -> _Output:
     if args.covers:
         seq = covers_from_json(_load_json(args.source))
-        depth = seq.depth
+        depth = _capped(seq.depth, "covers depth")
     else:
         if args.depth is None:
             raise UsageError("--depth is required when reading a space file")
@@ -524,10 +530,12 @@ def build_parser() -> _Parser:
     return p
 
 
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> CommandResult:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as e:
         return CommandResult(2, err=f"usage error: {e}")
     except SystemExit as e:  # --help and --version print on their own

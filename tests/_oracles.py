@@ -9,16 +9,20 @@ distance tables are read only through ``points`` and ``d``; balls, radii and
 the ball phenomena are rebuilt by brute force.  The one exception is
 ``cover_levels_oracle``, the level-list cover verifier the streamed walk
 replaced: it reads states from the fold the walk also uses, so the two
-verifiers can be compared on the same, possibly corrupted, states.
+verifiers can be compared on the same, possibly corrupted, states.  The point
+and word front end keeps its per-entry loops here (token parsing, point and
+digit validation, ``value_at``-based first difference and prefix), as the
+reference for the builtin scans that replaced them.
 """
 
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 from math import isqrt
 
 import bairecf.cover as cover
-from bairecf import QuadraticSurd
+from bairecf import InsufficientPrecisionError, QuadraticSurd
 from bairecf.cover import CoverMember, CoverReport, IntervalQ, _ends
 from bairecf.report import PropertyCheck
 from bairecf.ultra import UltrametricReport
@@ -303,3 +307,72 @@ def ball_properties_hold(table) -> bool:
                 return False
         prev = ball
     return True
+
+
+def parse_int_list_oracle(body: str, what: str) -> tuple:
+    """Comma-separated integers, one token at a time."""
+    body = body.strip()
+    if not body:
+        return ()
+    out = []
+    for tok in body.split(","):
+        tok = tok.strip()
+        if not re.fullmatch(r"-?\d+", tok):
+            raise ValueError(f"bad {what} entry: {tok!r}")
+        out.append(int(tok))
+    return tuple(out)
+
+
+def point_check_oracle(entries: tuple, tail, z: bool) -> None:
+    """Raise what building a point raises: entry types, tail types, entry
+    ranges, tail ranges; ``z`` selects the integer-headed space."""
+    if tail is not None and len(tail) == 0:
+        raise ValueError("tail block must be non-empty")
+    for i, e in enumerate(entries):
+        if not isinstance(e, int):
+            raise ValueError(f"entry {i} is not an integer: {e!r}")
+    for i, e in enumerate(tail or ()):
+        if not isinstance(e, int):
+            raise ValueError(f"tail entry {i} is not an integer: {e!r}")
+    lo = 1 if z else 0
+    for i, e in enumerate(entries):
+        if (i >= 1 or not z) and e < lo:
+            raise ValueError(f"entry {i} must be >= {lo}, got {e}")
+    for i, e in enumerate(tail or ()):
+        if e < lo:
+            raise ValueError(f"tail entry {i} must be >= {lo}, got {e}")
+
+
+def first_difference_oracle(f, g, bound: int):
+    """Least index < bound where the points disagree, one value_at at a time."""
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    for h in (f, g):
+        if not h.defined_through(bound):
+            raise InsufficientPrecisionError(f"{h} is not defined through index {bound - 1}")
+    for n in range(bound):
+        if f.value_at(n) != g.value_at(n):
+            return n
+    return None
+
+
+def prefix_oracle(p, n: int) -> tuple:
+    """Entries at indices 0..n-1, one value_at at a time."""
+    if not p.defined_through(n):
+        raise InsufficientPrecisionError(
+            f"{p} is only known through index {len(p.entries) - 1}, need {n - 1}"
+        )
+    return tuple(p.value_at(i) for i in range(n))
+
+
+def as_digits_oracle(w, what: str = "digit sequence") -> tuple:
+    """A digit sequence checked one digit at a time: type, then range."""
+    digits = tuple(w)
+    if not digits:
+        raise ValueError(f"{what} must have at least one digit")
+    for i, a in enumerate(digits):
+        if not isinstance(a, int):
+            raise ValueError(f"{what}: digit {i} is not an integer: {a!r}")
+        if i >= 1 and a < 1:
+            raise ValueError(f"{what}: digit {i} must be >= 1, got {a}")
+    return digits

@@ -1,15 +1,28 @@
 """Command line behaviour: wiring, exit codes, JSON payloads."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import bairecf.cli as cli
+import bairecf.ultra as ultra
 from bairecf.cli import main, run
+
+from _commands import COMMANDS, GOLDEN_DIR, blob
 
 DATA = Path(__file__).parent / "data"
 SPACE3 = str(DATA / "space3.json")
 EUCLID3 = str(DATA / "euclid3.json")
 COVERS3 = str(DATA / "covers3.json")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _golden(name: str) -> str:
+    return (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
 
 
 def test_cf_commands():
@@ -261,3 +274,105 @@ def test_version_and_main(capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_covers_depth_cap(tmp_path, monkeypatch):
+    monkeypatch.delenv("BAIRECF_MAX_DEPTH", raising=False)
+    derived = []
+    orig = ultra.ultrametric_from_covers
+
+    def counted(seq, ground):
+        derived.append(seq.depth)
+        return orig(seq, ground)
+
+    monkeypatch.setattr(ultra, "ultrametric_from_covers", counted)
+    for levels in (65, 64):
+        path = tmp_path / f"covers{levels}.json"
+        path.write_text(json.dumps({"levels": [[["a", "b"]]] * (levels - 1) + [[["a"], ["b"]]]}))
+        res = run(["ultra", "base-eq", str(path), "--covers"])
+        if levels == 65:
+            assert (res.exit_code, res.out, derived) == (1, "", [])
+            assert res.err == ("error: covers depth 65 exceeds the configured maximum 64 "
+                               "(BAIRECF_MAX_DEPTH)")
+        else:
+            assert (res.exit_code, derived) == (0, [64])
+            assert "equality: pass" in res.out
+
+
+def _set_cap(monkeypatch, cap):
+    if cap is None:
+        monkeypatch.delenv("BAIRECF_MAX_DEPTH", raising=False)
+    else:
+        monkeypatch.setenv("BAIRECF_MAX_DEPTH", cap)
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    """All goldens twice, in a seeded shuffle with usage errors, an unknown
+    command, --version and changes to the depth cap, on one reused parser."""
+    extras = [
+        (None, ["surd", "expand"]),
+        (None, ["baire", "dist", "(1)", "--bound", "x"]),
+        (None, ["nope"]),
+        (None, ["--version"]),
+        ("8", ["surd", "expand", "(0+1*sqrt(2))/1", "--depth", "9"]),
+        ("8", ["surd", "expand", "(0+1*sqrt(2))/1", "--depth", "8"]),
+        ("abc", ["baire", "dist", "(1)", "(2)", "--bound", "1"]),
+        ("0", ["surd", "expand", "(0+1*sqrt(2))/1"]),
+    ]
+    calls = [(None, argv, _golden(name)) for name, argv in COMMANDS]
+    for cap, argv in extras:  # expected from a parser built for this call alone
+        _set_cap(monkeypatch, cap)
+        cli._parser.cache_clear()
+        calls.append((cap, argv, blob(run(argv))))
+    assert "exceeds the configured maximum 8" in calls[len(COMMANDS) + 4][2]
+    assert calls[len(COMMANDS) + 5][2].startswith("exit: 0")
+    calls *= 2
+    random.Random(9).shuffle(calls)
+    capsys.readouterr()
+    cli._parser.cache_clear()
+    for cap, argv, expected in calls:
+        _set_cap(monkeypatch, cap)
+        assert blob(run(argv)) == expected, argv
+        if argv == ["--version"]:
+            assert capsys.readouterr().out == f"bairecf {cli.__version__}\n"
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_parser_built_once_per_process(monkeypatch):
+    monkeypatch.delenv("BAIRECF_MAX_DEPTH", raising=False)
+    inits = []
+    orig = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(self)
+        orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second
+    per_tree = len(inits) // 2
+    inits.clear()
+    cli._parser.cache_clear()
+    for i in range(50):
+        run(COMMANDS[i % len(COMMANDS)][1])
+    assert len(inits) == per_tree > 1
+    assert cli._parser() is cli._parser()
+
+
+def test_one_shot_process_matches_goldens():
+    env = {k: v for k, v in os.environ.items() if k != "BAIRECF_MAX_DEPTH"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argvs = dict(COMMANDS)
+    usage = ["surd", "expand"]
+    cases = [
+        (argvs["cf-expand"], _golden("cf-expand")),
+        (argvs["surd-expand-golden-json"], _golden("surd-expand-golden-json")),
+        (usage, blob(run(usage))),
+    ]
+    for argv, expected in cases:
+        proc = subprocess.run([sys.executable, "-m", "bairecf", *argv], capture_output=True,
+                              encoding="utf-8", env=env, timeout=60)
+        got = SimpleNamespace(exit_code=proc.returncode, out=proc.stdout.removesuffix("\n"),
+                              err=proc.stderr.removesuffix("\n"))
+        assert blob(got) == expected, argv
+    assert proc.returncode == 2 and proc.stderr.startswith("usage error:")

@@ -1,0 +1,165 @@
+"""Points and words against the per-entry loop oracles: every value, every
+error message and every first-offender index must agree, on seeded random
+inputs and on points of 20 000 entries."""
+
+import random
+
+from bairecf import (
+    Baire2Prefix,
+    BairePrefix,
+    first_difference,
+    format_cf,
+    format_point,
+    parse_point,
+)
+from bairecf.baire import _parse_int_list
+from bairecf.cf import _as_digits
+
+from _oracles import (
+    as_digits_oracle,
+    first_difference_oracle,
+    parse_int_list_oracle,
+    point_check_oracle,
+    prefix_oracle,
+)
+
+# Unicode digits and spaces, a plus sign, an underscore, empty and bare-sign tokens.
+TOKENS = ["0", "7", "42", "-3", "-0", "\u0663", "\u0661\u0662", "\uff11\uff12", "\u2003",
+          "\x1c", "+5", "1_0", "", "-", "--1", "1.0", "x", "\u0663\u2003", "\u20035",
+          "\x1c-2\x1c", " 8 ", "\u00a09"]
+PADS = ["", " ", "\u2003", "\x1c", "\t"]
+ENTRIES = [0, 1, 2, 5, 0, 1, 2, 3, -1, -3, True, False, 10**30, -(10**30), "3", 1.0, None]
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as e:  # InsufficientPrecisionError included, told apart by name
+        return type(e).__name__, str(e)
+
+
+def _point_outcome(cls, entries, tail):
+    try:
+        p = cls(entries, tail)
+    except ValueError as e:
+        return type(e).__name__, str(e)
+    return "ok", (p.entries, p.tail)
+
+
+def _oracle_point(cls, entries, tail):
+    def build():
+        point_check_oracle(tuple(entries), None if tail is None else tuple(tail),
+                           cls is Baire2Prefix)
+        return tuple(entries), None if tail is None else tuple(tail)
+    return _outcome(build)
+
+
+def _old_format_point(p):
+    body = "(" + ",".join(str(e) for e in p.entries) + ")"
+    if p.tail is not None:
+        body += "~(" + ",".join(str(e) for e in p.tail) + ")"
+    return body
+
+
+def _old_format_cf(digits):
+    if len(digits) == 1:
+        return f"[{digits[0]}]"
+    return f"[{digits[0]}; " + ", ".join(str(a) for a in digits[1:]) + "]"
+
+
+def test_token_lists_match_the_oracle():
+    rng = random.Random(9001)
+    for _ in range(3000):
+        toks = [rng.choice(PADS) + rng.choice(TOKENS) + rng.choice(PADS)
+                for _ in range(rng.randint(0, 6))]
+        body = rng.choice(PADS) + ",".join(toks) + rng.choice(PADS)
+        what = rng.choice(["point", "tail"])
+        assert _outcome(_parse_int_list, body, what) == _outcome(parse_int_list_oracle, body, what)
+
+
+def test_point_validation_matches_the_oracle():
+    rng = random.Random(9002)
+    for _ in range(4000):
+        entries = [rng.choice(ENTRIES) for _ in range(rng.randint(0, 6))]
+        tail = None if rng.random() < 0.3 else [rng.choice(ENTRIES)
+                                                 for _ in range(rng.randint(0, 3))]
+        for cls in (BairePrefix, Baire2Prefix):
+            got = _point_outcome(cls, entries, tail)
+            assert got == _oracle_point(cls, entries, tail), (cls, entries, tail)
+            if got[0] == "ok":
+                p = cls(entries, tail)
+                assert format_point(p) == _old_format_point(p)
+
+
+def _random_point(rng):
+    entries = tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 8)))
+    tail = None if rng.random() < 0.4 else tuple(rng.randint(0, 2)
+                                                 for _ in range(rng.randint(1, 3)))
+    return BairePrefix(entries, tail)
+
+
+def test_first_difference_and_prefix_match_the_oracle():
+    rng = random.Random(9003)
+    for _ in range(3000):
+        f = _random_point(rng)
+        if rng.random() < 0.5:
+            g = _random_point(rng)
+        else:  # share f's entries so the first difference is often late or absent
+            tail = f.tail if rng.random() < 0.5 else (rng.randint(0, 2),)
+            g = BairePrefix(f.entries + tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 3))),
+                            tail)
+        bound = rng.randint(-1, 30)
+        assert (_outcome(first_difference, f, g, bound)
+                == _outcome(first_difference_oracle, f, g, bound)), (f, g, bound)
+        n = rng.randint(-3, 30)
+        assert _outcome(f.prefix, n) == _outcome(prefix_oracle, f, n), (f, n)
+    assert BairePrefix((1, 2)).prefix(0) == ()
+    assert BairePrefix((), (1,)).prefix(-5) == ()
+
+
+def test_digit_sequences_match_the_oracle():
+    rng = random.Random(9004)
+    pool = [-2, -1, 0, 1, 1, 2, 2, 3, 7, True, False, 10**20, "1", 1.5, None]
+    for _ in range(4000):
+        digits = tuple(rng.choice(pool) for _ in range(rng.randint(0, 6)))
+        what = rng.choice(["digit sequence", "word", "prefix"])
+        got = _outcome(_as_digits, digits, what)
+        assert got == _outcome(as_digits_oracle, digits, what), digits
+        if got[0] == "ok":
+            assert format_cf(digits) == _old_format_cf(digits)
+
+
+def test_points_of_20000_entries():
+    rng = random.Random(9005)
+    n = 20_000
+    values = [rng.randint(0, 9) for _ in range(n)]
+    text = "(" + ", ".join(map(str, values)) + ")"
+    f = parse_point(text)
+    assert f.entries == parse_int_list_oracle(text[1:-1], "point")
+    assert format_point(f) == _old_format_point(f)
+    k = rng.randrange(n)
+    g = BairePrefix(values[:k] + [values[k] + 1] + values[k + 1:])
+    assert first_difference(f, g, n) == first_difference_oracle(f, g, n) == k
+    assert first_difference(f, f, n) is None
+    assert f.prefix(n) == prefix_oracle(f, n)
+    # one bad token, a Unicode digit, and a 0 after the head in the z space
+    toks = list(map(str, values))
+    toks[17_000] = "+5"
+    toks[3] = "\u0663"
+    body = ",".join(toks)
+    got = _outcome(_parse_int_list, body, "point")
+    assert got == _outcome(parse_int_list_oracle, body, "point")
+    assert got[1] == "bad point entry: '+5'"
+    z = [1 + v for v in values]
+    z[15_000] = 0
+    assert _point_outcome(Baire2Prefix, z, None) == _oracle_point(Baire2Prefix, z, None)
+    assert _point_outcome(Baire2Prefix, z, None)[1] == "entry 15000 must be >= 1, got 0"
+    tail = [True] * 5 + [-1]
+    assert _point_outcome(BairePrefix, values, tail) == _oracle_point(BairePrefix, values, tail)
+    word = tuple(v + 1 for v in values)
+    assert _as_digits(word) == as_digits_oracle(word)
+    bad = word[:19_999] + (0,)
+    assert _outcome(_as_digits, bad) == _outcome(as_digits_oracle, bad)
+    assert format_cf(word) == _old_format_cf(word)
+    assert _outcome(first_difference, f, g, n + 1) == _outcome(first_difference_oracle, f, g, n + 1)
+    assert _outcome(first_difference, f, g, n + 1)[0] == "InsufficientPrecisionError"
