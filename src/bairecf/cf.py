@@ -6,13 +6,16 @@ any integer and every later digit a positive integer.  Canonical words (the
 than one digit, which makes rational -> word one-to-one.  Evaluation and tail
 substitution accept arbitrary valid digit sequences, canonical or not.  Values,
 tails and convergents all come from one integer fold of the convergent
-recurrence (Khinchin, *Continued Fractions*, section 2).  Words are checked
-and printed by builtin scans (``all``, ``min``, ``map`` over ``islice``) whose
-per-digit loop runs in C; a Python loop runs only to name the first bad digit.
+recurrence (Khinchin, *Continued Fractions*, section 2); a surd's digits from
+the integer (P + sqrt(D))/Q recurrence (Perron), one isqrt per expansion.  Words
+are checked and printed by builtin scans (``all``, ``min``, ``map`` over
+``islice``) whose per-digit loop runs in C; a Python loop runs only to name the
+first bad digit.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,18 +127,23 @@ def convergents(w: "CFWord | Sequence[int]") -> list[Fraction]:
 def expand_surd(s: QuadraticSurd, depth: int) -> tuple[int, ...]:
     """First depth+1 digits of the (infinite) word of an irrational.
 
-    Digits come from floor/reciprocal iteration; every returned prefix pins the
-    value strictly between the prefix's value and the value with its last digit
-    bumped by one.
+    Every returned prefix pins the value strictly between the prefix's value
+    and the value with its last digit bumped by one.  s = (p + q*sqrt(d))/r is
+    (P + sqrt(D))/Q with P = sgn(q)*p*r, D = d*q^2*r^2, Q = sgn(q)*r^2, so that
+    Q | D - P^2.  Each digit a = floor((P + isqrt(D) + [Q < 0])/Q) is exact as
+    sqrt(D) is irrational; the next complete quotient has P <- a*Q - P and the
+    exact Q <- (D - P^2)/Q (Perron, *Die Lehre von den Kettenbrüchen*).
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    digits = []
-    cur = s
-    for i in range(depth + 1):
-        digits.append(cur.floor())
-        if i < depth:
-            cur = cur.recip_frac(digits[-1])
+    sign = 1 if s.q > 0 else -1
+    P, Q, D = sign * s.p * s.r, sign * s.r * s.r, s.d * (s.q * s.r) ** 2
+    root, digits = math.isqrt(D), []
+    for _ in range(depth + 1):
+        a = (P + root + (Q < 0)) // Q
+        digits.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
     return tuple(digits)
 
 

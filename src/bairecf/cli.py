@@ -42,7 +42,7 @@ from .baire import (
 from .cf import convergents, evaluate, expand_rational, expand_surd, format_cf, parse_cf
 from .cover import locate, member_of, verify_cover_properties
 from .homeo import check_ball_image, phi_forward, phi_inverse
-from .rational import parse_rational
+from .rational import format_rational, parse_rational
 from .surd import format_surd, parse_surd
 from .ultra import (
     _fmt_set,
@@ -136,24 +136,24 @@ def _cmd_cf_expand(args) -> _Output:
     x = parse_rational(args.value)
     word = expand_rational(x)
     return _Output(
-        {"value": str(x), "word": list(word.digits)},
+        {"value": format_rational(x), "word": list(word.digits)},
         format_cf(word),
     )
 
 
 def _cmd_cf_eval(args) -> _Output:
     digits = parse_cf(args.word)
-    v = evaluate(digits)
-    return _Output({"word": list(digits), "value": str(v)}, str(v))
+    v = format_rational(evaluate(digits))
+    return _Output({"word": list(digits), "value": v}, v)
 
 
 def _cmd_cf_convergents(args) -> _Output:
     x = parse_rational(args.value)
     word = expand_rational(x)
-    cs = convergents(word)
+    cs = [format_rational(c) for c in convergents(word)]
     return _Output(
-        {"value": str(x), "word": list(word.digits), "convergents": [str(c) for c in cs]},
-        "\n".join(str(c) for c in cs),
+        {"value": format_rational(x), "word": list(word.digits), "convergents": cs},
+        "\n".join(cs),
     )
 
 
@@ -185,7 +185,7 @@ def _cmd_baire_dist(args) -> _Output:
             "q": format_point(g),
             "bound": bound,
             "kind": d.kind,
-            "value": str(d.value),
+            "value": format_rational(d.value),
         },
         str(d),
     )
@@ -198,7 +198,7 @@ def _cmd_baire_ball(args) -> _Output:
     cyl = cylinder_of_ball(f, r)
     whole = cyl is WHOLE_SPACE
     return _Output(
-        {"point": format_point(f), "radius": str(r), "whole_space": whole,
+        {"point": format_point(f), "radius": format_rational(r), "whole_space": whole,
          "cylinder": None if whole else list(cyl)},
         "whole space" if whole else format_point(cls(cyl)),
     )
@@ -229,8 +229,8 @@ def _cmd_cover_show(args) -> _Output:
         {
             "word": list(m.word),
             "level": m.level,
-            "lo": str(m.interval.lo),
-            "hi": str(m.interval.hi),
+            "lo": format_rational(m.interval.lo),
+            "hi": format_rational(m.interval.hi),
         },
         f"level {m.level}: {m.interval}",
     )
@@ -245,8 +245,8 @@ def _cmd_cover_locate(args) -> _Output:
             "surd": format_surd(s),
             "level": m.level,
             "word": list(m.word),
-            "lo": str(m.interval.lo),
-            "hi": str(m.interval.hi),
+            "lo": format_rational(m.interval.lo),
+            "hi": format_rational(m.interval.hi),
         },
         f"{format_cf(m.word)} {m.interval}",
     )
@@ -271,8 +271,8 @@ def _cmd_cover_verify(args) -> _Output:
         ("mesh", report.mesh),
     ]
     lines = [_render_checks(checks)]
-    for level in sorted(report.max_length_by_level):
-        lines.append(f"max_length level {level}: {report.max_length_by_level[level]}")
+    for level, length in sorted(report.max_length_by_level.items()):
+        lines.append(f"max_length level {level}: {format_rational(length)}")
     lines.append(f"words_checked: {report.words_checked}")
     return _Output(report.as_json(), "\n".join(lines), failed=not report.all_passed)
 
@@ -288,12 +288,12 @@ def _cmd_homeo_fwd(args) -> _Output:
         {
             "point": format_point(p),
             "depth": depth,
-            "lo": str(ap.interval.lo),
-            "hi": str(ap.interval.hi),
-            "midpoint": str(ap.midpoint),
-            "width": str(ap.width),
+            "lo": format_rational(ap.interval.lo),
+            "hi": format_rational(ap.interval.hi),
+            "midpoint": format_rational(ap.midpoint),
+            "width": format_rational(ap.width),
         },
-        f"{ap.interval} midpoint {ap.midpoint}",
+        f"{ap.interval} midpoint {format_rational(ap.midpoint)}",
     )
 
 
@@ -316,8 +316,8 @@ def _cmd_homeo_ball(args) -> _Output:
             "point": format_point(p),
             "n": n,
             "cylinder": list(chk.cylinder),
-            "lo": str(chk.interval.lo),
-            "hi": str(chk.interval.hi),
+            "lo": format_rational(chk.interval.lo),
+            "hi": format_rational(chk.interval.hi),
             "samples_checked": chk.samples_checked,
             "all_inside": chk.all_inside,
         },
@@ -339,7 +339,7 @@ def _cmd_ultra_build(args) -> _Output:
     for i, blocks in enumerate(seq.levels):
         lines.append(f"level {i}: " + " | ".join(_fmt_set(b) for b in blocks))
     for x, y in table.pairs():
-        lines.append(f"d({x}, {y}) = {table.d(x, y)}")
+        lines.append(f"d({x}, {y}) = {format_rational(table.d(x, y))}")
     return _Output(
         {"depth": depth, "covers": seq.as_json()["levels"], "table": table.as_json()},
         "\n".join(lines),

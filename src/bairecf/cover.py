@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cf import _EMPTY, _as_digits, _fold, expand_surd
+from .rational import format_rational
 from .report import PropertyCheck
 from .surd import QuadraticSurd
 
@@ -68,7 +69,7 @@ class IntervalQ:
         return self.hi <= other.lo or other.hi <= self.lo
 
     def __str__(self) -> str:
-        return f"({self.lo}, {self.hi})"
+        return f"({format_rational(self.lo)}, {format_rational(self.hi)})"
 
 
 def _ends(state: tuple[int, int, int, int]):

@@ -3,6 +3,7 @@
 Rationals are plain ``fractions.Fraction`` values: stored reduced, denominator
 positive, arbitrary precision.  The text format is ``p/q`` with ``/q`` omitted
 for integers; ``parse_rational``/``format_rational`` round-trip bit-exactly.
+Both refuse integers over MAX_DIGITS digits, the interpreter's own default.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import re
 from fractions import Fraction
 
 Rational = Fraction
+MAX_DIGITS = 4300  # CPython's default int <-> str limit, which is never lifted
+_DIGITS_CAP = 10**MAX_DIGITS
 
 _RATIONAL_RE = re.compile(r"\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
@@ -19,15 +22,20 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise ValueError(f"not a rational: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num, den = m.group(1), m.group(2) or "1"
+    if max(len(num.lstrip("-")), len(den)) > MAX_DIGITS:
+        raise ValueError(f"rational exceeds the {MAX_DIGITS}-digit budget")
+    num, den = int(num), int(den)
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)
 
 
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    x = Fraction(x)
+    if abs(x.numerator) >= _DIGITS_CAP or x.denominator >= _DIGITS_CAP:
+        raise ValueError(f"result exceeds the {MAX_DIGITS}-digit budget; use a lower depth")
+    return str(x)
 
 
 def euclid_div(a: int, b: int) -> tuple[int, int]:

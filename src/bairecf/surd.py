@@ -3,8 +3,8 @@
 A surd stands for one specific irrational number.  Comparison against any
 rational is decided exactly and never answers "equal" (d is not a perfect
 square), the floor needs no rounding, and 1/(s - floor(s)) stays in the same
-shape with the same radicand.  Only what continued-fraction digit extraction
-needs is provided; this is not a general algebraic-number type.
+shape with the same radicand.  Digit expansion builds no surds: it runs on
+integers in ``cf.expand_surd``.  This is not a general algebraic-number type.
 """
 
 from __future__ import annotations
@@ -68,12 +68,9 @@ class QuadraticSurd:
         floor_q_sqrt = u if self.q > 0 else -u - 1
         return (self.p + floor_q_sqrt) // self.r
 
-    def recip_frac(self, floor: int | None = None) -> QuadraticSurd:
-        """1/(s - floor(s)); always > 1, same radicand.
-
-        A caller that already holds floor(s) passes it, saving the isqrt.
-        """
-        p1 = self.p - (self.floor() if floor is None else floor) * self.r
+    def recip_frac(self) -> QuadraticSurd:
+        """1/(s - floor(s)); always > 1, same radicand."""
+        p1 = self.p - self.floor() * self.r
         den = p1 * p1 - self.q * self.q * self.d  # never 0: d is not a square
         return QuadraticSurd(self.r * p1, -self.r * self.q, self.d, den)
 

@@ -12,7 +12,9 @@ replaced: it reads states from the fold the walk also uses, so the two
 verifiers can be compared on the same, possibly corrupted, states.  The point
 and word front end keeps its per-entry loops here (token parsing, point and
 digit validation, ``value_at``-based first difference and prefix), as the
-reference for the builtin scans that replaced them.
+reference for the builtin scans that replaced them, and the surd digit loop
+(``QuadraticSurd.floor`` then ``recip_frac``, one surd per digit) is the
+reference for the integer (P + sqrt(D))/Q recurrence of ``expand_surd``.
 """
 
 import re
@@ -72,6 +74,17 @@ def compare_oracle(s: QuadraticSurd, x) -> str:
         if lhs_hi < rhs:
             return "LT"
         digits *= 2
+
+
+def expand_surd_oracle(s: QuadraticSurd, depth: int) -> tuple:
+    """First depth+1 digits of s: floor, then 1/(s - floor(s)) as a new surd."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    digits = [s.floor()]
+    for _ in range(depth):
+        s = s.recip_frac()
+        digits.append(s.floor())
+    return tuple(digits)
 
 
 def fold_value(digits, tail=None) -> Fraction:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,14 @@ from bairecf import (
 )
 from bairecf.surd import QuadraticSurd
 
-from _oracles import NAMED_SURDS, fold_value, interval_oracle, periodic_surd
+from _oracles import (
+    NAMED_SURDS,
+    compare_oracle,
+    expand_surd_oracle,
+    fold_value,
+    interval_oracle,
+    periodic_surd,
+)
 
 
 def test_expand_examples():
@@ -175,16 +183,55 @@ def test_expand_surd_matches_periodic_oracle():
         assert expand_surd(s, depth) == want
 
 
-def test_expand_surd_takes_one_floor_per_digit(monkeypatch):
-    calls = []
-    floor = QuadraticSurd.floor
-    monkeypatch.setattr(QuadraticSurd, "floor", lambda s: calls.append(s) or floor(s))
+def test_expand_surd_takes_one_isqrt_and_builds_no_surd(monkeypatch):
+    calls = Counter()
+
+    def counted(name, f):
+        return lambda *args: calls.update((name,)) or f(*args)
+
+    monkeypatch.setattr(math, "isqrt", counted("isqrt", math.isqrt))
+    monkeypatch.setattr(QuadraticSurd, "floor", counted("floor", QuadraticSurd.floor))
+    monkeypatch.setattr(
+        QuadraticSurd, "__post_init__", counted("surd", QuadraticSurd.__post_init__)
+    )
     for name in ("sqrt2", "golden", "minus_sqrt2", "sqrt7"):
-        calls.clear()
-        assert expand_surd(NAMED_SURDS[name], 20)[0] == floor(NAMED_SURDS[name])
-        assert len(calls) == 21
-    s = NAMED_SURDS["sqrt7"]
-    assert s.recip_frac(floor(s)) == s.recip_frac()
+        s = NAMED_SURDS[name]
+        for depth in (0, 20, 1000):
+            calls.clear()
+            digits = expand_surd(s, depth)
+            assert calls == Counter(isqrt=1)
+            assert digits == expand_surd_oracle(s, depth)
+
+
+def _random_surd(rng) -> tuple:
+    """(p + q*sqrt(d))/r with magnitudes from 1 to 10^9, and the signs of q and r."""
+    bound = rng.choice((10, 10**3, 10**6, 10**9))
+    d = rng.randint(2, rng.choice((50, 10**6, 10**12)))
+    while math.isqrt(d) ** 2 == d:
+        d += 1
+    sq, sr = rng.choice((1, -1)), rng.choice((1, -1))
+    q, r = sq * rng.randint(1, bound), sr * rng.randint(1, bound)
+    return QuadraticSurd(rng.randint(-bound, bound), q, d, r), (sq, sr)
+
+
+def test_expand_surd_matches_floor_loop_oracle_and_pins_every_prefix():
+    """The integer recurrence against the surd-per-digit loop on seeded random
+    surds; each prefix's interval holds the surd by independent comparison."""
+    rng = random.Random(1010)
+    cases = [(QuadraticSurd(0, 1, 2, 3), (1, 1)), (QuadraticSurd(0, -1, 2, -3), (-1, -1))]
+    cases += [_random_surd(rng) for _ in range(400)]
+    signs, unscaled = set(), 0
+    for i, (s, sign) in enumerate(cases):
+        signs.add(sign)
+        # r does not divide d*q^2 - p^2, so (P, Q) = (p, r) would break Q | D - P^2
+        unscaled += (s.d * s.q * s.q - s.p * s.p) % s.r != 0
+        depth = rng.randint(0, 60) if i % 4 else 60
+        digits = expand_surd(s, depth)
+        assert digits == expand_surd_oracle(s, depth), s
+        for k in range(1, depth + 2):
+            iv = interval_of(digits[:k])
+            assert (compare_oracle(s, iv.lo), compare_oracle(s, iv.hi)) == ("GT", "LT"), (s, k)
+    assert len(signs) == 4 and unscaled > 100
 
 
 def test_expand_surd_known_periodic_words():

@@ -256,6 +256,22 @@ def test_max_depth_env(monkeypatch):
     assert res.exit_code == 2
 
 
+def test_results_past_the_digit_budget_exit_one(monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setenv("BAIRECF_MAX_DEPTH", "100000")
+    for argv in (["homeo", "fwd", "(9)~(9)", "--depth", "5000"],
+                 ["homeo", "fwd", "(9)~(9)", "--depth", "5000", "--json"],
+                 ["cf", "eval", "[1; " + ", ".join(["9"] * 5000) + "]"],
+                 ["cf", "expand", "1/" + "3" * 4400]):
+        res = run(argv)
+        assert (res.exit_code, res.out) == (1, "")
+        assert "exceeds the 4300-digit budget" in res.err
+        assert ("use a lower depth" in res.err) == (argv[1] != "expand")
+        assert "set_int_max_str_digits" not in res.err
+    assert run(["homeo", "fwd", "(9)~(9)", "--depth", "2000"]).exit_code == 0
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_default_depth_cap_is_64():
     assert run(["surd", "expand", "(0+1*sqrt(2))/1", "--depth", "64"]).exit_code == 0
     assert run(["surd", "expand", "(0+1*sqrt(2))/1", "--depth", "65"]).exit_code == 1

@@ -1,8 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from bairecf import euclid_div, format_rational, parse_rational
+from bairecf.rational import MAX_DIGITS
 
 
 def test_parse_basic():
@@ -40,6 +42,23 @@ def test_format_is_reduced():
     assert format_rational(Fraction(6, 8)) == "3/4"
     assert format_rational(Fraction(4, 2)) == "2"
     assert format_rational(Fraction(0, 7)) == "0"
+
+
+def test_digit_budget_matches_the_interpreter_limit_without_lifting_it():
+    limit = sys.get_int_max_str_digits()
+    assert MAX_DIGITS == 4300
+    big = 10**MAX_DIGITS  # the least integer with MAX_DIGITS + 1 digits
+    for x in (Fraction(big - 1, big - 3), Fraction(-(big - 1), 7), Fraction(1, big - 1)):
+        text = format_rational(x)
+        assert parse_rational(text) == x
+    assert parse_rational("-" + "9" * MAX_DIGITS + "/" + "7" * MAX_DIGITS) < 0
+    for x in (Fraction(big), Fraction(-big, 3), Fraction(1, big), Fraction(big + 1, big + 2)):
+        with pytest.raises(ValueError, match="exceeds the 4300-digit budget; use a lower"):
+            format_rational(x)
+    for text in ("1" * 4301, "-" + "1" * 4301, "1/" + "1" * 4301, "0" * 4300 + "1/2"):
+        with pytest.raises(ValueError, match="exceeds the 4300-digit budget"):
+            parse_rational(text)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_euclid_div_exhaustive():
