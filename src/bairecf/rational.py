@@ -4,12 +4,18 @@ Rationals are plain ``fractions.Fraction`` values: stored reduced, denominator
 positive, arbitrary precision.  The text format is ``p/q`` with ``/q`` omitted
 for integers; ``parse_rational``/``format_rational`` round-trip bit-exactly.
 Both refuse integers over MAX_DIGITS digits, the interpreter's own default.
+``rational_pairs`` reads many texts in the same grammar, and under the same
+budget, as reduced integer (numerator, denominator) pairs, with no
+``Fraction`` per text.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
+from math import gcd
+from operator import floordiv
 
 Rational = Fraction
 MAX_DIGITS = 4300  # CPython's default int <-> str limit, which is never lifted
@@ -29,6 +35,28 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)
+
+
+def rational_pairs(texts: list[str]) -> list[tuple[int, int]]:
+    """Reduced (numerator, denominator) pairs of texts, each read as parse_rational reads it.
+
+    Each distinct text is read once, in one regex pass and builtin maps; a
+    loop runs only to raise parse_rational's error for the first text that
+    fails.  Distinct texts keep their first-seen order, so that text is the
+    first failing one of ``texts``.
+    """
+    distinct = list(dict.fromkeys(texts))
+    found = list(map(_RATIONAL_RE.match, distinct))
+    if not all(found) or max(map(len, distinct), default=0) > MAX_DIGITS:
+        for text in distinct:
+            parse_rational(text)
+    num_texts, den_texts = zip(*map(re.Match.groups, found, repeat("1"))) if found else ((), ())
+    nums, dens = list(map(int, num_texts)), list(map(int, den_texts))
+    if 0 in dens:
+        parse_rational(distinct[dens.index(0)])
+    common = list(map(gcd, nums, dens))
+    reduced = zip(map(floordiv, nums, common), map(floordiv, dens, common))
+    return list(map(dict(zip(distinct, reduced)).__getitem__, texts))
 
 
 def format_rational(x: Fraction) -> str:

@@ -1,39 +1,40 @@
 """Finite-model laboratory: refining partitions, ultrametrics, verification.
 
-A finite metric space is driven through the zero-dimensionality pipeline: shrink
-open balls into a sequence of refining partitions (``build_cover_sequence``),
-read an ultrametric back off the separation level of each pair
-(``ultrametric_from_covers``), verify the strong triangle inequality and the
-standard open-ball phenomena on the finite model, check that the ball system
-equals the union of the partition levels plus the whole space, and embed the
-points isometrically into the non-negative integer-sequence space
-(``sierpinski_embed``).
+A finite metric space goes through the zero-dimensionality pipeline: shrink
+balls into refining partitions (``build_cover_sequence``), read an ultrametric
+off each pair's separation level (``ultrametric_from_covers``), verify the
+strong triangle inequality and the open-ball phenomena, check that the balls
+are the blocks plus the whole space, and embed the points isometrically into
+the integer-sequence space (``sierpinski_embed``).
 
-Each table is one integer matrix over a common scale, the lcm of its
-denominators, so decisions compare ints and ``Fraction``s are rebuilt only for
-answers and messages: d < r exactly when d * scale < ceil(r * scale), and a
-table is an ultrametric exactly when the Prim spanning tree's minimax
-distances reproduce it (``verify_ultrametric``, O(n^2)).  JSON inputs past
-``MAX_POINTS`` points, or ``MAX_MATRIX_BITS`` bits of matrix (points squared
-times the bits of the scale, which can grow without bound), are refused
-before any table is built.
+Everything from the input to the verdict is an int.  ``table_from_json`` reads
+each ``"p/q"`` as a reduced (numerator, denominator) pair, and a table is one
+integer matrix over the lcm of its denominators, so d < r exactly when
+d * scale < ceil(r * scale).  A point set is a mask with bit k for
+``points[k]``, whose lowest set bit is its smallest member.  ``Fraction``s and
+``frozenset``s are made only for answers, messages, ``CoverSequence.levels``
+and the JSON payloads.  JSON inputs past ``MAX_POINTS`` points, or
+``MAX_MATRIX_BITS`` bits of matrix (points squared times the bits of the
+scale, which can grow without bound), are refused before any table is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from functools import reduce
+from itertools import chain, combinations, compress, repeat
 from math import lcm
-from operator import add
-from typing import Iterable, Mapping, Sequence
+from operator import add, eq, or_
 
 from .baire import BairePrefix
-from .rational import parse_rational
+from .rational import parse_rational, rational_pairs
 from .report import PropertyCheck
 
 MAX_POINTS = 800
 MAX_MATRIX_BITS = 1 << 25
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 class UnseparatedPairError(ValueError):
@@ -52,46 +53,74 @@ def _fmt_set(s: Iterable) -> str:
     return "{" + ", ".join(str(x) for x in sorted(s, key=_id_key)) + "}"
 
 
+def _unhashable(ids) -> ValueError:
+    """The error naming the first id that cannot be hashed."""
+    for x in ids:
+        try:
+            hash(x)
+        except TypeError:
+            return ValueError(f"point id must be a string or integer: {x!r}")
+
+
+def _select(items: Sequence, mask: int) -> list:
+    """The items at the set bits of mask, in order."""
+    return list(compress(items, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+
+
+def _low(mask: int) -> int:
+    """Position of the lowest set bit: the smallest member of a point set."""
+    return (mask & -mask).bit_length() - 1
+
+
 class DistanceTable:
     """Symmetric table of exact positive distances over a finite id set.
 
-    ``rows[i][j] / scale`` is the distance between ``points[i]`` and
-    ``points[j]`` (zero on the diagonal), with ``scale`` the lcm of all the
-    distances' denominators, so ``rows`` is one matrix of ints; ``index``
-    maps each point to its position.
+    ``rows[i][j] / scale`` is the distance from ``points[i]`` to ``points[j]``,
+    with ``scale`` the lcm of the denominators; ``index`` maps points to positions.
+    ``distances`` maps pairs, or is (pair, distance) items, to anything ``Fraction``
+    reads or to reduced (numerator, denominator) pairs; a pair may repeat, in
+    either order, only with the same distance.
     """
 
-    def __init__(self, points: Iterable, distances: Mapping):
+    def __init__(self, points: Iterable, distances):
         pts = list(points)
         if len(set(pts)) != len(pts):
             raise ValueError("duplicate point ids")
         self.points: tuple = tuple(sorted(pts, key=_id_key))
         self.index: dict = {x: i for i, x in enumerate(self.points)}
-        n = len(self.points)
-        m: list[list] = [[None] * n for _ in range(n)]
-        for key, value in distances.items():
-            pair = tuple(key)
-            if len(pair) != 2:
-                raise ValueError(f"distance key is not a pair: {key!r}")
-            x, y = pair
-            if x not in self.index or y not in self.index:
-                raise ValueError(f"unknown point in pair {key!r}")
-            if x == y:
+        index, n = self.index, len(pts)
+        m: list[list] = [[None] * n for _ in range(n)]  # reduced pairs
+        for key, v in distances.items() if isinstance(distances, Mapping) else distances:
+            try:
+                x, y = key
+            except (TypeError, ValueError):
+                raise ValueError(f"distance key is not a pair: {key!r}") from None
+            try:
+                i, j = index[x], index[y]
+            except KeyError:
+                raise ValueError(f"unknown point in pair {key!r}") from None
+            except TypeError:
+                raise _unhashable(key) from None
+            if i == j:
                 raise ValueError(f"diagonal entry for {x!r}; d(x, x) = 0 is implicit")
-            v = Fraction(value)
-            if v <= 0:
-                raise ValueError(f"distance for ({x!r}, {y!r}) must be positive, got {v}")
-            i, j = self.index[x], self.index[y]
-            if m[i][j] is not None and m[i][j] != v:
+            if v.__class__ is not tuple:
+                v = v if isinstance(v, (int, Fraction)) else Fraction(v)
+                v = v.numerator, v.denominator
+            if v[0] <= 0:
+                raise ValueError(
+                    f"distance for ({x!r}, {y!r}) must be positive, got {Fraction(*v)}")
+            row = m[i]
+            if row[j] is not None and row[j] != v:  # named in table order
+                x, y = self.points[min(i, j)], self.points[max(i, j)]
                 raise ValueError(f"conflicting distances for ({x!r}, {y!r})")
-            m[i][j] = m[j][i] = v
+            row[j] = m[j][i] = v
         for i, row in enumerate(m):
-            row[i] = Fraction(0)
-            if any(v is None for v in row):
-                j = row.index(None)
-                raise ValueError(f"missing distance for ({self.points[i]!r}, {self.points[j]!r})")
-        self.scale: int = lcm(*{v.denominator for row in m for v in row})
-        self.rows = [[v.numerator * (self.scale // v.denominator) for v in row] for row in m]
+            row[i] = (0, 1)
+            if None in row:
+                y = self.points[row.index(None)]
+                raise ValueError(f"missing distance for ({self.points[i]!r}, {y!r})")
+        self.scale = scale = lcm(*{den for row in m for _, den in row})
+        self.rows = [[num * (scale // den) for num, den in row] for row in m]
 
     def _frac(self, v: int) -> Fraction:
         return Fraction(v, self.scale)
@@ -111,16 +140,16 @@ class DistanceTable:
         return (self.points, self.scale, self.rows) == (other.points, other.scale, other.rows)
 
     def as_json(self) -> dict:
-        return {
-            "points": list(self.points),
-            "dist": [[x, y, str(self.d(x, y))] for x, y in self.pairs()],
-        }
+        text = {v: str(self._frac(v)) for row in self.rows for v in set(row)}
+        pairs = combinations(zip(self.points, self.rows), 2)
+        return {"points": list(self.points),
+                "dist": [[x, y, text[row[self.index[y]]]] for (x, row), (y, _) in pairs]}
 
 
 class FiniteSpace(DistanceTable):
     """Distance table satisfying the triangle inequality (a genuine metric)."""
 
-    def __init__(self, points: Iterable, distances: Mapping):
+    def __init__(self, points: Iterable, distances):
         super().__init__(points, distances)
         pts, m, q = self.points, self.rows, self._frac
         for i, row_i in enumerate(m):
@@ -132,8 +161,7 @@ class FiniteSpace(DistanceTable):
                     x, y, z = pts[i], pts[j], pts[k]
                     raise ValueError(
                         f"triangle inequality fails: d({x!r}, {y!r}) = {q(dij)} > "
-                        f"d({x!r}, {z!r}) + d({z!r}, {y!r}) = {q(row_i[k])} + {q(row_j[k])}"
-                    )
+                        f"d({x!r}, {z!r}) + d({z!r}, {y!r}) = {q(row_i[k])} + {q(row_j[k])}")
 
 
 def _check_points(n: int) -> None:
@@ -144,92 +172,83 @@ def _check_points(n: int) -> None:
 def table_from_json(obj, require_metric: bool = False) -> DistanceTable:
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise ValueError('expected {"points": [...], "dist": [[i, j, "p/q"], ...]}')
-    points = obj["points"]
+    points, rows = obj["points"], obj["dist"]
     if not isinstance(points, list):
         raise ValueError("points must be a list of ids")
     _check_points(len(points))
     for x in points:
         if not isinstance(x, (str, int)):
             raise ValueError(f"point id must be a string or integer: {x!r}")
-    distances = {}
-    for row in obj["dist"]:
-        if not isinstance(row, list) or len(row) != 3:
-            raise ValueError(f"bad dist row: {row!r}")
-        x, y, v = row
-        distances[(x, y)] = parse_rational(str(v))
+    if not isinstance(rows, list):
+        raise ValueError("dist must be a list of rows")
+    if not (all(map(isinstance, rows, repeat(list))) and all(map((3).__eq__, map(len, rows)))):
+        for row in rows:  # the first bad row, unless an earlier value does not parse
+            if not isinstance(row, list) or len(row) != 3:
+                raise ValueError(f"bad dist row: {row!r}")
+            parse_rational(str(row[2]))
+    xs, ys, values = zip(*rows) if rows else ((), (), ())
+    pairs = rational_pairs(list(map(str, values)))
     # the lcm stops growing as soon as the matrix it implies passes the budget
     scale, squared = 1, len(points) ** 2
-    for den in {v.denominator for v in distances.values()}:
+    for den in {den for _, den in pairs}:
         scale = lcm(scale, den)
         size = squared * scale.bit_length()
         if size > MAX_MATRIX_BITS:
             raise ValueError(
                 f"matrix of at least {size} bits exceeds the budget {MAX_MATRIX_BITS}")
-    cls = FiniteSpace if require_metric else DistanceTable
-    return cls(points, distances)
+    return (FiniteSpace if require_metric else DistanceTable)(points, zip(zip(xs, ys), pairs))
 
 
 def disjointify(sets: Sequence[Iterable], ground: Iterable) -> list[frozenset]:
-    """Peel each set down to its not-yet-covered part; drop empties.
-
-    The inputs must all sit inside the ground set and jointly cover it; the
-    output is a partition of the ground set, each part inside its source set.
-    """
-    ground = frozenset(ground)
-    out: list[frozenset] = []
-    seen: set = set()
-    for b in sets:
-        bs = frozenset(b)
-        if not bs <= ground:
-            raise ValueError(f"input set strays outside the ground set: {_fmt_set(bs - ground)}")
-        fresh = bs - seen
-        if fresh:
-            out.append(frozenset(fresh))
-        seen |= bs
+    """Peel each set down to its not-yet-covered part, dropping empties: a partition
+    of the ground set, which the sets must cover and stay inside."""
+    ground, out, seen = frozenset(ground), [], set()
+    for b in map(frozenset, sets):
+        if not b <= ground:
+            raise ValueError(f"input set strays outside the ground set: {_fmt_set(b - ground)}")
+        if b - seen:
+            out.append(b - seen)
+        seen |= b
     if seen != ground:
         raise ValueError(f"input does not cover the ground set; missing {_fmt_set(ground - seen)}")
     return out
 
 
 class CoverSequence:
-    """Refining sequence of partitions of a finite ground set.
-
-    Blocks within a level are kept in a canonical order (by smallest member),
-    which also fixes the digit each point gets in ``sierpinski_embed``.
-    """
+    """Refining sequence of partitions of a finite ground set, blocks ordered by
+    smallest member, which fixes each point's digits in ``sierpinski_embed``."""
 
     def __init__(self, levels: Sequence[Sequence[Iterable]]):
         if not levels:
             raise ValueError("need at least one level")
-        canon: list[tuple[frozenset, ...]] = []
+        canon: list[list[frozenset]] = []
         for level in levels:
-            blocks = [frozenset(b) for b in level]
-            if any(not b for b in blocks):
+            try:
+                canon.append([frozenset(b) for b in level])
+            except TypeError:
+                raise _unhashable(x for b in level for x in b) from None
+            if not all(canon[-1]):
                 raise ValueError("empty block")
-            blocks.sort(key=lambda b: _id_key(min(b, key=_id_key)))
-            canon.append(tuple(blocks))
-        self.levels: tuple[tuple[frozenset, ...], ...] = tuple(canon)
+        # the smallest key in a block is the key of its smallest member
+        key = {x: _id_key(x) for x in frozenset().union(*chain.from_iterable(canon))}
+        for blocks in canon:
+            blocks.sort(key=lambda b: min(map(key.__getitem__, b)))
+        self.levels: tuple[tuple[frozenset, ...], ...] = tuple(map(tuple, canon))
         self.ground: frozenset = frozenset().union(*self.levels[0])
         self._index: list[dict] = []
-        prev: dict | None = None
         for li, blocks in enumerate(self.levels):
-            where: dict = {}
-            for bi, b in enumerate(blocks):
-                for x in b:
-                    if x in where:
-                        raise ValueError(f"level {li}: blocks overlap at {x!r}")
-                    where[x] = bi
-            if set(where) != self.ground:
+            # each id's first block; an id in a later block too is an overlap
+            where = {x: bi for bi, b in reversed(list(enumerate(blocks))) for x in b}
+            if len(where) != sum(map(len, blocks)):
+                x = next(x for bi, b in enumerate(blocks) for x in b if where[x] != bi)
+                raise ValueError(f"level {li}: blocks overlap at {x!r}")
+            if where.keys() != self.ground:
                 raise ValueError(f"level {li} does not cover the ground set")
-            if prev is not None:
-                for b in blocks:
-                    if len({prev[x] for x in b}) != 1:
-                        raise ValueError(
-                            f"level {li}: block {_fmt_set(b)} not inside a single "
-                            f"level-{li - 1} block"
-                        )
+            for b in blocks if li else ():
+                if len(set(map(self._index[-1].__getitem__, b))) != 1:
+                    raise ValueError(f"level {li}: block {_fmt_set(b)} not inside a single "
+                                     f"level-{li - 1} block")
             self._index.append(where)
-            prev = where
 
     @property
     def depth(self) -> int:
@@ -242,86 +261,82 @@ class CoverSequence:
         return self.levels[level][self._index[level][x]]
 
     def as_json(self) -> dict:
-        return {
-            "levels": [
-                [sorted(b, key=_id_key) for b in blocks] for blocks in self.levels
-            ]
-        }
+        return {"levels": [[sorted(b, key=_id_key) for b in blocks] for blocks in self.levels]}
 
 
 def covers_from_json(obj) -> CoverSequence:
-    if not isinstance(obj, dict) or "levels" not in obj or not isinstance(obj["levels"], list):
+    levels = obj.get("levels") if isinstance(obj, dict) else None
+    if isinstance(levels, list) and levels and isinstance(levels[0], list):
+        _check_points(sum(len(b) for b in levels[0] if isinstance(b, list)))
+    if not isinstance(levels, list) or not all(
+            isinstance(level, list) and all(map(isinstance, level, repeat(list)))
+            for level in levels):
         raise ValueError('expected {"levels": [[[id, ...], ...], ...]}')
-    first = obj["levels"][0] if obj["levels"] else []
-    if isinstance(first, list):
-        _check_points(sum(len(b) for b in first if isinstance(b, list)))
-    return CoverSequence(obj["levels"])
+    return CoverSequence(levels)
 
 
-def _ball(table: DistanceTable, i: int, r: Fraction) -> frozenset:
-    """Open ball of radius r around the point at position i.
-
-    An int entry v lies below r * scale exactly when v < ceil(r * scale).
-    """
-    below = -(-r.numerator * table.scale // r.denominator)
-    return frozenset(compress(table.points, map(below.__gt__, table.rows[i])))
-
-
-def _radii(table: DistanceTable) -> list[Fraction]:
-    """Occurring positive distances, ascending, then one radius past the largest.
-
-    These radii realize every distinct open ball: a radius between two
-    consecutive distances gives the balls of the larger one, and the radius
-    past the maximum gives the whole space.
-    """
-    vals = table.values()
-    return vals + [(vals[-1] if vals else Fraction(0)) + 1]
+def _balls(table: DistanceTable, r: Fraction) -> list[int]:
+    """Every point's open ball of radius r as a mask: the entries below ceil(r * scale)."""
+    below = (-(-r.numerator * table.scale // r.denominator)).__gt__
+    bits = [1 << j for j in range(len(table.rows))]
+    return [sum(compress(bits, map(below, row))) for row in table.rows]
 
 
 def build_cover_sequence(space: FiniteSpace, depth: int) -> CoverSequence:
     """Refining partitions from shrinking balls; level i uses radius 2^-(i+2).
 
-    Blocks of level i then have diameter at most 2^-(i+1), and each level
-    refines the previous one because new pieces are cut inside old blocks.
+    The balls peel each block of the previous level (the whole space first) in
+    point order, ``ball & block & ~seen``; pieces of diameter > 2^-(i+1) are an error.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    pts = space.points
-    ground = frozenset(pts)
-    levels: list[list[frozenset]] = [[ground]]
+    pts, rows, positions = space.points, space.rows, range(len(space.points))
+    levels, blocks, members = [], [(1 << len(pts)) - 1], [list(positions)]
     for i in range(depth):
-        radius = Fraction(1, 2 ** (i + 2))
-        balls = [_ball(space, k, radius) for k in range(len(pts))]
-        levels.append(disjointify([nb & u for u in levels[-1] for nb in balls], ground))
-    seq = CoverSequence(levels[1:])
-    for li, blocks in enumerate(seq.levels):
-        limit = space.scale >> (li + 1)  # an int v > scale / 2^(li+1) exactly when v > limit
-        for b in blocks:
-            members = [space.index[x] for x in b]
-            if any(max(map(space.rows[a].__getitem__, members)) > limit for a in members):
-                bound = Fraction(1, 2 ** (li + 1))
-                raise RuntimeError(f"internal error: level {li} block exceeds diameter {bound}")
-    return seq
+        balls = _balls(space, Fraction(1, 2 ** (i + 2)))
+        pieces = []
+        for rest, ms in zip(blocks, members):
+            near = reduce(or_, map(balls.__getitem__, ms), 0)  # the balls that meet the block
+            while rest:
+                center = _low(near)
+                near ^= 1 << center
+                if balls[center] & rest:
+                    pieces.append(balls[center] & rest)
+                    rest &= ~pieces[-1]
+        blocks, members = pieces, [_select(positions, piece) for piece in pieces]
+        limit = space.scale >> (i + 1)  # an int v > scale / 2^(i+1) exactly when v > limit
+        if any(max(map(rows[a].__getitem__, ms)) > limit for ms in members for a in ms):
+            raise RuntimeError(f"internal error: level {i} block exceeds diameter 1/{2 << i}")
+        levels.append([list(map(pts.__getitem__, ms)) for ms in members])
+    return CoverSequence(levels)
 
 
 def ultrametric_from_covers(seq: CoverSequence, ground: Iterable) -> DistanceTable:
-    """Distance 1/(k+1) where k is the first level separating the pair."""
+    """Distance 1/(k+1) where k is the first level separating the pair, written
+    once: level k splits a block off the rest of its level-(k-1) block."""
     ground = frozenset(ground)
     if ground != seq.ground:
         raise ValueError("ground set does not match the cover sequence")
     pts = sorted(ground, key=_id_key)
-    distances: dict[tuple, Fraction] = {}
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            k = next((level for level in range(seq.depth)
-                      if seq.block_index_of(level, x) != seq.block_index_of(level, y)), None)
-            if k is None:
-                raise UnseparatedPairError(
-                    (x, y),
-                    f"points {x!r} and {y!r} are never separated within depth {seq.depth}",
-                )
-            distances[(x, y)] = Fraction(1, k + 1)
-    return DistanceTable(pts, distances)
+    n, pos = len(pts), {x: i for i, x in enumerate(pts)}
+    # each pair's level, and each point's block at the previous level as a mask
+    level, parent = [[None] * n for _ in range(n)], [(1 << n) - 1] * n
+    for k, blocks in enumerate(seq.levels):
+        for members in ([pos[x] for x in b] for b in blocks):
+            mask = sum(1 << i for i in members)
+            split = _select(range(n), parent[members[0]] & ~mask)
+            for i in members:
+                parent[i] = mask
+                for j in split:
+                    level[i][j] = k
+    for i, row in enumerate(level):
+        if None in row[i + 1 :]:
+            x, y = pts[i], pts[row.index(None, i + 1)]
+            raise UnseparatedPairError(
+                (x, y), f"points {x!r} and {y!r} are never separated within depth {seq.depth}")
+    one_over = [(1, k + 1) for k in range(seq.depth)]
+    ks = (k for i, row in enumerate(level) for k in row[i + 1 :])
+    return DistanceTable(pts, zip(combinations(pts, 2), map(one_over.__getitem__, ks)))
 
 
 @dataclass(frozen=True)
@@ -334,24 +349,16 @@ class UltrametricReport:
         return self.strong_triangle.passed and self.isosceles.passed
 
     def as_json(self) -> dict:
-        return {
-            "strong_triangle": self.strong_triangle.as_json(),
-            "isosceles": self.isosceles.as_json(),
-            "passed": self.all_passed,
-        }
+        return {**asdict(self), "passed": self.all_passed}
 
 
 def verify_ultrametric(table: DistanceTable) -> UltrametricReport:
     """Strong triangle inequality plus the two-largest-sides-equal property.
 
-    A table is an ultrametric exactly when it equals its subdominant
-    ultrametric, the minimax path distance, which a minimum spanning tree
-    realizes (Gower & Ross 1969).  Prim's algorithm grows the tree; when v
-    joins through p by an edge h, its minimax distance to every earlier tree
-    vertex u is max(h, d(p, u)), as long as the table has matched so far.  If
-    every value matches, the strong inequality holds on every triple, and so
-    does the isosceles property: O(n^2) work.  Only on a mismatch are the
-    triples scanned in order, to name the first failing ones.
+    A table is an ultrametric exactly when it equals the minimax path distance
+    of a minimum spanning tree (Gower & Ross 1969): when Prim's tree takes v
+    through p by an edge h, d(v, u) must be max(h, d(p, u)) for each earlier u.
+    O(n^2) work; only a mismatch scans the triples, to name the first failures.
     """
     m, n = table.rows, len(table.rows)
     best, parent = (list(m[0]) if n else []), [0] * n  # shortest edge into the tree
@@ -373,6 +380,8 @@ def _first_failing_triples(table: DistanceTable) -> UltrametricReport:
     """Scan i < j < k in order for the first failure of each property."""
     strong = isosceles = PropertyCheck.ok()
     pts, m, q, n = table.points, table.rows, table._frac, len(table.points)
+    # with at most two distances no side triple is all distinct: stop at the first strong failure
+    few = len({v for row in m for v in row}) <= 3
     for i, row_i in enumerate(m):
         for j in range(i + 1, n):
             row_j, dij = m[j], row_i[j]
@@ -383,14 +392,12 @@ def _first_failing_triples(table: DistanceTable) -> UltrametricReport:
                 if strong.passed and sides[2][0] > sides[1][0]:
                     v, x, y = sides[2]
                     strong = PropertyCheck.fail(
-                        f"d({x}, {y}) = {q(v)} > max of the other two sides = {q(sides[1][0])}"
-                    )
+                        f"d({x}, {y}) = {q(v)} > max of the other two sides = {q(sides[1][0])}")
                 if isosceles.passed and len({dij, dik, djk}) == 3:
                     isosceles = PropertyCheck.fail(
                         f"all three sides differ on ({pts[i]}, {pts[j]}, {pts[k]}): "
-                        f"{q(dij)}, {q(dik)}, {q(djk)}"
-                    )
-                if not strong.passed and not isosceles.passed:
+                        f"{q(dij)}, {q(dik)}, {q(djk)}")
+                if not strong.passed and (few or not isosceles.passed):
                     return UltrametricReport(strong, isosceles)
     return UltrametricReport(strong, isosceles)
 
@@ -411,88 +418,89 @@ class BallPropertiesReport:
     @property
     def precondition_ultrametric(self) -> PropertyCheck:
         um = self.ultrametric
-        return PropertyCheck(
-            um.all_passed, um.strong_triangle.counterexample or um.isosceles.counterexample
-        )
+        return PropertyCheck(um.all_passed, um.strong_triangle.counterexample or
+                             um.isosceles.counterexample)
 
     @property
     def all_passed(self) -> bool:
         return all(getattr(self, name).passed for name in _BALL_CHECKS)
 
     def as_json(self) -> dict:
-        return {
-            **{name: getattr(self, name).as_json() for name in _BALL_CHECKS},
-            "passed": self.all_passed,
-        }
+        return {**{name: getattr(self, name).as_json() for name in _BALL_CHECKS},
+                "passed": self.all_passed}
+
+
+def _ball_sweep(table: DistanceTable):
+    """Each radius, in scale units, with every point's open ball as a mask.  The radii,
+    the distances ascending and one past the largest, realize every distinct open ball;
+    each ball grows by the points at the previous radius."""
+    at = []  # per point: distance -> mask of the points at that distance
+    for row in table.rows:
+        at.append({})
+        for j, v in enumerate(row):
+            at[-1][v] = at[-1].get(v, 0) | 1 << j
+    values = sorted({v for by_distance in at for v in by_distance})
+    balls = [0] * len(at)
+    for prev, r in zip(values, values[1:] + [v + table.scale for v in values[-1:]]):
+        balls = [ball | by_distance.get(prev, 0) for ball, by_distance in zip(balls, at)]
+        yield r, balls
+
+
+def _ball_checks(table: DistanceTable) -> tuple[PropertyCheck, ...]:
+    """Nesting, coincidence, centers, absorption and partition over the sweep, on any table.
+
+    A closed ball is the open ball at the next radius, so absorption is checked
+    there.  A radius is centered when each ball's owners (the points whose ball
+    it is) are its members: then the balls partition the space, and as balls
+    only grow, absorption holds and nesting holds at the next radius.
+    """
+    pts, q, positions = table.points, table._frac, range(len(table.points))
+
+    def fmt(mask):
+        return _fmt_set(_select(pts, mask))
+
+    nesting = coincide = centers = absorption = partition = PropertyCheck.ok()
+    prev_balls = prev_distinct = prev_r = None
+    for r, balls in _ball_sweep(table):
+        owner: dict = {}  # ball -> the points whose ball it is
+        for i, ball in enumerate(balls):
+            owner[ball] = owner.get(ball, 0) | 1 << i
+        distinct = None if all(map(eq, owner, owner.values())) else sorted(owner, key=_low)
+        # each point lies in its own ball, so the balls cover the space, and they
+        # partition it (coincide) exactly when their sizes add up to the point count
+        if distinct and coincide.passed and sum(map(int.bit_count, distinct)) != len(pts):
+            b1, b2 = next((b1, b2) for a, b1 in enumerate(distinct)
+                          for b2 in distinct[a + 1 :] if b1 & b2)
+            coincide = PropertyCheck.fail(
+                f"radius {q(r)}: distinct balls {fmt(b1)} and {fmt(b2)} meet")
+            partition = PropertyCheck.fail(
+                f"radius {q(r)}: the distinct balls do not partition the space")
+        if distinct and centers.passed:
+            b = next(b for b in distinct if owner[b] != b)
+            y = _low(b & ~owner[b])  # a ball holds its owners, so some member is no owner
+            centers = PropertyCheck.fail(
+                f"radius {q(r)}: ball at {pts[y]} differs from the ball {fmt(b)}")
+        if distinct and absorption.passed and prev_balls:
+            bad = next(((x, s) for s in distinct for x in _select(positions, s)
+                        if prev_balls[x] & ~s), None)
+            if bad is not None:
+                absorption = PropertyCheck.fail(f"radius {q(prev_r)}: open ball at {pts[bad[0]]} "
+                                                f"leaves the closed ball {fmt(bad[1])}")
+        # a smaller ball sits inside the larger ball around each of its members;
+        # with same-radius disjointness this pins down every intersecting pair
+        b = next((b for b in prev_distinct or () if b & ~balls[_low(b)]), None)
+        if nesting.passed and b is not None:
+            nesting = PropertyCheck.fail(f"radii {q(prev_r)} <= {q(r)}: ball {fmt(b)} "
+                                         f"is not inside {fmt(balls[_low(b)])}")
+        prev_balls, prev_distinct, prev_r = balls, distinct, r
+    return nesting, coincide, centers, absorption, partition
 
 
 def verify_ball_properties(table: DistanceTable) -> BallPropertiesReport:
-    """Open-ball behaviour at every radius from ``_radii``.
-
-    On a finite table the closed ball of radius v_k is the open ball at the
-    next radius in the list, so absorption at one radius is checked against
-    the open balls of the next, and only two radii's balls are alive at once.
-    """
+    """Open-ball behaviour at every radius of the sweep, on an ultrametric table."""
     um = verify_ultrametric(table)
-    if not um.all_passed:
-        skipped = PropertyCheck.fail("not checked: table is not an ultrametric")
-        return BallPropertiesReport(um, skipped, skipped, skipped, skipped, skipped)
-
-    pts = table.points
-    all_points = frozenset(pts)
-    nesting = coincide = centers = absorption = partition = PropertyCheck.ok()
-    prev_ball_of, prev_distinct, prev_r = {}, [], None
-
-    for r in _radii(table):
-        ball_of = {x: _ball(table, i, r) for i, x in enumerate(pts)}
-        owner: dict[frozenset, set] = {}
-        for x in pts:
-            owner.setdefault(ball_of[x], set()).add(x)
-        distinct = sorted(owner, key=lambda b: _id_key(min(b, key=_id_key)))
-        if coincide.passed and sum(len(b) for b in distinct) != len(pts):
-            # every point lies in its own ball, so the balls overlap somewhere
-            b1, b2 = next((b1, b2) for a_i, b1 in enumerate(distinct)
-                          for b2 in distinct[a_i + 1 :] if b1 & b2)
-            coincide = PropertyCheck.fail(
-                f"radius {r}: distinct balls {_fmt_set(b1)} and {_fmt_set(b2)} meet"
-            )
-        if centers.passed:
-            # ball around every member of B equals B, i.e. the points whose
-            # ball is B are exactly the members of B
-            b = next((b for b in distinct if owner[b] != set(b)), None)
-            if b is not None:
-                y = min((set(b) - owner[b]) or (owner[b] - set(b)), key=_id_key)
-                centers = PropertyCheck.fail(
-                    f"radius {r}: ball at {y} differs from the ball {_fmt_set(b)}"
-                )
-        if absorption.passed and prev_r is not None:
-            # the closed balls at prev_r are the open balls at r; at the last
-            # radius every ball is the whole space, so absorption is trivial there
-            bad = next(((x, s) for s in distinct for x in s if not prev_ball_of[x] <= s), None)
-            if bad is not None:
-                absorption = PropertyCheck.fail(
-                    f"radius {prev_r}: open ball at {bad[0]} leaves the closed ball "
-                    f"{_fmt_set(bad[1])}"
-                )
-        if partition.passed:
-            union = frozenset().union(*distinct) if distinct else frozenset()
-            if union != all_points or sum(len(b) for b in distinct) != len(pts):
-                partition = PropertyCheck.fail(
-                    f"radius {r}: the distinct balls do not partition the space"
-                )
-        if nesting.passed and prev_distinct:
-            # a ball at the smaller radius sits inside the ball at the larger
-            # radius around any of its members; with same-radius disjointness
-            # this pins down every intersecting pair across any radius gap
-            b = next((b for b in prev_distinct if not b <= ball_of[next(iter(b))]), None)
-            if b is not None:
-                nesting = PropertyCheck.fail(
-                    f"radii {prev_r} <= {r}: ball {_fmt_set(b)} is not inside "
-                    f"{_fmt_set(ball_of[next(iter(b))])}"
-                )
-        prev_ball_of, prev_distinct, prev_r = ball_of, distinct, r
-
-    return BallPropertiesReport(um, nesting, coincide, centers, absorption, partition)
+    skipped = PropertyCheck.fail("not checked: table is not an ultrametric")
+    return BallPropertiesReport(um, *(_ball_checks(table) if um.all_passed else [skipped] * 5))
 
 
 @dataclass(frozen=True)
@@ -506,43 +514,30 @@ class BaseEqualityReport:
         return self.equality.passed
 
     def as_json(self) -> dict:
-        return {
-            "equality": self.equality.as_json(),
-            "ball_system_size": self.ball_system_size,
-            "base_system_size": self.base_system_size,
-            "passed": self.all_passed,
-        }
+        return {**asdict(self), "passed": self.all_passed}
 
 
 def verify_base_equality(seq: CoverSequence) -> BaseEqualityReport:
-    """Ball system of the ultrametric read off seq == all blocks plus the whole space.
-
-    The open balls at the radii from ``_radii`` are all the distinct open
-    balls: the one at a distance 1/(k+1) is a level-k block, and the one past
-    the largest distance is the whole space.
-    """
+    """Ball system of the ultrametric read off seq == all blocks plus the whole space,
+    both as sets of masks."""
     table = ultrametric_from_covers(seq, seq.ground)
-    balls = {_ball(table, i, r) for r in _radii(table) for i in range(len(table.points))}
-    base = {b for blocks in seq.levels for b in blocks} | {seq.ground}
+    balls = {ball for _, row in _ball_sweep(table) for ball in row}
+    base = {sum(1 << table.index[x] for x in b) for blocks in seq.levels for b in blocks}
+    base.add((1 << len(table.points)) - 1)
     if balls == base:
         check = PropertyCheck.ok()
     elif balls - base:
-        check = PropertyCheck.fail(
-            f"ball {_fmt_set(next(iter(balls - base)))} is not a block or the whole space"
-        )
+        stray = _fmt_set(_select(table.points, min(balls - base)))
+        check = PropertyCheck.fail(f"ball {stray} is not a block or the whole space")
     else:
-        check = PropertyCheck.fail(
-            f"block {_fmt_set(next(iter(base - balls)))} is not realized as a ball"
-        )
+        missing = _fmt_set(_select(table.points, min(base - balls)))
+        check = PropertyCheck.fail(f"block {missing} is not realized as a ball")
     return BaseEqualityReport(check, len(balls), len(base))
 
 
 def sierpinski_embed(seq: CoverSequence) -> dict:
-    """Each point's stream of block indices, one digit per level.
-
-    Two points share digit i exactly when level i keeps them together, so the
-    first-difference distance of the images equals the separation ultrametric.
-    """
+    """Each point's stream of block indices, one digit per level: two points share
+    digit i exactly when level i keeps them together, so the embedding is isometric."""
     return {
         x: BairePrefix(tuple(seq.block_index_of(level, x) for level in range(seq.depth)))
         for x in sorted(seq.ground, key=_id_key)

@@ -15,19 +15,30 @@ digit validation, ``value_at``-based first difference and prefix), as the
 reference for the builtin scans that replaced them, and the surd digit loop
 (``QuadraticSurd.floor`` then ``recip_frac``, one surd per digit) is the
 reference for the integer (P + sqrt(D))/Q recurrence of ``expand_surd``.
+The finite-space lab keeps its ``Fraction`` and ``frozenset`` versions here as
+the references for the integer pairs and bitmasks that replaced them: the
+per-entry table loader, the frozenset ball peel, the pair-by-pair separation
+levels, the frozenset ball sweep and the frozenset ball system.
 """
 
 import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 
 import bairecf.cover as cover
 from bairecf import InsufficientPrecisionError, QuadraticSurd
 from bairecf.cover import CoverMember, CoverReport, IntervalQ, _ends
+from bairecf.rational import parse_rational
 from bairecf.report import PropertyCheck
-from bairecf.ultra import UltrametricReport
+from bairecf.ultra import (
+    BallPropertiesReport,
+    BaseEqualityReport,
+    CoverSequence,
+    UltrametricReport,
+    UnseparatedPairError,
+)
 
 
 def mobius_surd(a, b, c, d, s: QuadraticSurd) -> QuadraticSurd:
@@ -320,6 +331,230 @@ def ball_properties_hold(table) -> bool:
                 return False
         prev = ball
     return True
+
+
+# --- the finite-space lab on Fractions and frozensets ---
+
+
+def _order_key(v):
+    return (0, v, "") if isinstance(v, int) else (1, 0, str(v))
+
+
+def table_oracle(points, items, require_metric=False) -> tuple:
+    """(points, scale, rows) of a table, or the error building it raises.
+
+    One ``Fraction`` per entry, checked entry by entry in the order: duplicate
+    ids, key pair, unknown point, diagonal, positive, conflict (a pair may
+    repeat, in either order, only with the same value), then missing entries
+    and, for a metric, the first failing triangle.
+    """
+    pts = list(points)
+    if len(set(pts)) != len(pts):
+        raise ValueError("duplicate point ids")
+    pts.sort(key=_order_key)
+    index = {x: i for i, x in enumerate(pts)}
+    n = len(pts)
+    m = [[None] * n for _ in range(n)]
+    for key, value in items:
+        pair = tuple(key)
+        if len(pair) != 2:
+            raise ValueError(f"distance key is not a pair: {key!r}")
+        x, y = pair
+        for z in pair:
+            try:
+                hash(z)
+            except TypeError:
+                raise ValueError(f"point id must be a string or integer: {z!r}") from None
+            if z not in index:
+                raise ValueError(f"unknown point in pair {key!r}")
+        if x == y:
+            raise ValueError(f"diagonal entry for {x!r}; d(x, x) = 0 is implicit")
+        v = Fraction(*value) if isinstance(value, tuple) else Fraction(value)
+        if v <= 0:
+            raise ValueError(f"distance for ({x!r}, {y!r}) must be positive, got {v}")
+        i, j = index[x], index[y]
+        if m[i][j] is not None and m[i][j] != v:
+            first, second = sorted(pair, key=index.__getitem__)
+            raise ValueError(f"conflicting distances for ({first!r}, {second!r})")
+        m[i][j] = m[j][i] = v
+    for i, row in enumerate(m):
+        row[i] = Fraction(0)
+        if any(v is None for v in row):
+            raise ValueError(f"missing distance for ({pts[i]!r}, {pts[row.index(None)]!r})")
+    if require_metric:
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(n):
+                    if m[i][k] + m[j][k] < m[i][j]:
+                        x, y, z = pts[i], pts[j], pts[k]
+                        raise ValueError(
+                            f"triangle inequality fails: d({x!r}, {y!r}) = {m[i][j]} > "
+                            f"d({x!r}, {z!r}) + d({z!r}, {y!r}) = {m[i][k]} + {m[j][k]}"
+                        )
+    scale = 1
+    for row in m:
+        for v in row:
+            scale = scale * v.denominator // gcd(scale, v.denominator)
+    return tuple(pts), scale, [[int(v * scale) for v in row] for row in m]
+
+
+def table_from_json_oracle(obj, require_metric=False, max_points=800, max_bits=1 << 25) -> tuple:
+    """(points, scale, rows) of a JSON table, or the first error, one row at a time."""
+    if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
+        raise ValueError('expected {"points": [...], "dist": [[i, j, "p/q"], ...]}')
+    points = obj["points"]
+    if not isinstance(points, list):
+        raise ValueError("points must be a list of ids")
+    if len(points) > max_points:
+        raise ValueError(f"{len(points)} points exceed the budget {max_points}")
+    for x in points:
+        if not isinstance(x, (str, int)):
+            raise ValueError(f"point id must be a string or integer: {x!r}")
+    if not isinstance(obj["dist"], list):
+        raise ValueError("dist must be a list of rows")
+    items = []
+    for row in obj["dist"]:
+        if not isinstance(row, list) or len(row) != 3:
+            raise ValueError(f"bad dist row: {row!r}")
+        x, y, v = row
+        items.append(((x, y), parse_rational(str(v))))
+    scale, squared = 1, len(points) ** 2
+    for den in {v.denominator for _, v in items}:
+        scale = scale * den // gcd(scale, den)
+        size = squared * scale.bit_length()
+        if size > max_bits:
+            raise ValueError(f"matrix of at least {size} bits exceeds the budget {max_bits}")
+    return table_oracle(points, items, require_metric)
+
+
+def cover_sequence_oracle(space, depth: int) -> tuple:
+    """Levels of the ball peel on frozensets: every block of the previous
+    level (the whole space first) cut by the open balls of radius 2^-(i+2)
+    around the points in order, each piece minus what earlier pieces took."""
+    ground = frozenset(space.points)
+    blocks = [ground]
+    levels = []
+    for i in range(depth):
+        r = Fraction(1, 2 ** (i + 2))
+        balls = [open_ball(space, x, r) for x in space.points]
+        pieces, seen = [], set()
+        for u in blocks:
+            for ball in balls:
+                piece = (ball & u) - seen
+                if piece:
+                    pieces.append(frozenset(piece))
+                seen |= ball & u
+        levels.append(pieces)
+        blocks = pieces
+    return CoverSequence(levels).levels
+
+
+def separation_oracle(seq, ground) -> dict:
+    """{(x, y): 1/(k+1)} over ordered pairs x < y, k the first level whose
+    block indices differ, or the error for the first pair never separated."""
+    ground = frozenset(ground)
+    if ground != seq.ground:
+        raise ValueError("ground set does not match the cover sequence")
+    pts = sorted(ground, key=_order_key)
+    out = {}
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            k = next((level for level in range(seq.depth)
+                      if seq.block_index_of(level, x) != seq.block_index_of(level, y)), None)
+            if k is None:
+                raise UnseparatedPairError(
+                    (x, y), f"points {x!r} and {y!r} are never separated within depth {seq.depth}")
+            out[(x, y)] = Fraction(1, k + 1)
+    return out
+
+
+def _fmt_ids(s, pts) -> str:
+    return "{" + ", ".join(str(x) for x in sorted(s, key=pts.index)) + "}"
+
+
+def ball_checks_oracle(table) -> tuple:
+    """(nesting, coincide, centers, absorption, partition) of the frozenset
+    sweep over the occurring distances and one radius past the largest, on any
+    table; witnesses are the smallest members where a set offers several."""
+    pts = list(table.points)
+    vals = sorted({table.d(x, y) for x, y in table.pairs()})
+    radii = vals + [(vals[-1] if vals else Fraction(0)) + 1]
+    all_points = frozenset(pts)
+    nesting = coincide = centers = absorption = partition = PropertyCheck.ok()
+    prev_ball_of, prev_distinct, prev_r = {}, [], None
+    for r in radii:
+        ball_of = {x: open_ball(table, x, r) for x in pts}
+        owner = {}
+        for x in pts:
+            owner.setdefault(ball_of[x], set()).add(x)
+        distinct = sorted(owner, key=lambda b: min(map(pts.index, b)))
+        if coincide.passed and sum(len(b) for b in distinct) != len(pts):
+            b1, b2 = next((b1, b2) for a_i, b1 in enumerate(distinct)
+                          for b2 in distinct[a_i + 1 :] if b1 & b2)
+            coincide = PropertyCheck.fail(
+                f"radius {r}: distinct balls {_fmt_ids(b1, pts)} and {_fmt_ids(b2, pts)} meet")
+        if centers.passed:
+            b = next((b for b in distinct if owner[b] != set(b)), None)
+            if b is not None:
+                y = min((set(b) - owner[b]) or (owner[b] - set(b)), key=pts.index)
+                centers = PropertyCheck.fail(
+                    f"radius {r}: ball at {y} differs from the ball {_fmt_ids(b, pts)}")
+        if absorption.passed and prev_r is not None:
+            bad = next(((x, s) for s in distinct for x in sorted(s, key=pts.index)
+                        if not prev_ball_of[x] <= s), None)
+            if bad is not None:
+                absorption = PropertyCheck.fail(
+                    f"radius {prev_r}: open ball at {bad[0]} leaves the closed ball "
+                    f"{_fmt_ids(bad[1], pts)}")
+        if partition.passed:
+            union = frozenset().union(*distinct) if distinct else frozenset()
+            if union != all_points or sum(len(b) for b in distinct) != len(pts):
+                partition = PropertyCheck.fail(
+                    f"radius {r}: the distinct balls do not partition the space")
+        if nesting.passed and prev_distinct:
+            b = next((b for b in prev_distinct
+                      if not b <= ball_of[min(b, key=pts.index)]), None)
+            if b is not None:
+                outer = ball_of[min(b, key=pts.index)]
+                nesting = PropertyCheck.fail(
+                    f"radii {prev_r} <= {r}: ball {_fmt_ids(b, pts)} is not inside "
+                    f"{_fmt_ids(outer, pts)}")
+        prev_ball_of, prev_distinct, prev_r = ball_of, distinct, r
+    return nesting, coincide, centers, absorption, partition
+
+
+def ball_report_oracle(table) -> BallPropertiesReport:
+    """The ball report from the triple scan and the frozenset sweep."""
+    um = ultrametric_scan_oracle(table)
+    if not um.all_passed:
+        skipped = PropertyCheck.fail("not checked: table is not an ultrametric")
+        return BallPropertiesReport(um, skipped, skipped, skipped, skipped, skipped)
+    return BallPropertiesReport(um, *ball_checks_oracle(table))
+
+
+def base_equality_oracle(seq) -> BaseEqualityReport:
+    """Frozenset ball system of the separation ultrametric against the blocks
+    plus the whole space."""
+    dist = separation_oracle(seq, seq.ground)
+    pts = sorted(seq.ground, key=_order_key)
+
+    def d(x, y):
+        return Fraction(0) if x == y else dist[(x, y) if (x, y) in dist else (y, x)]
+
+    vals = sorted(set(dist.values()))
+    radii = vals + [(vals[-1] if vals else Fraction(0)) + 1]
+    balls = {frozenset(y for y in pts if d(x, y) < r) for r in radii for x in pts}
+    base = {b for blocks in seq.levels for b in blocks} | {seq.ground}
+    if balls == base:
+        check = PropertyCheck.ok()
+    elif balls - base:
+        first = min(balls - base, key=lambda b: sum(1 << pts.index(x) for x in b))
+        check = PropertyCheck.fail(
+            f"ball {_fmt_ids(first, pts)} is not a block or the whole space")
+    else:
+        first = min(base - balls, key=lambda b: sum(1 << pts.index(x) for x in b))
+        check = PropertyCheck.fail(f"block {_fmt_ids(first, pts)} is not realized as a ball")
+    return BaseEqualityReport(check, len(balls), len(base))
 
 
 def parse_int_list_oracle(body: str, what: str) -> tuple:

@@ -156,6 +156,28 @@ def test_ultra_point_budget(tmp_path):
         assert "801 points exceed the budget 800" in res.err, argv
 
 
+def test_ultra_bad_tables_exit_one_with_a_message(tmp_path):
+    cases = [
+        ({"points": ["a", "b"], "dist": [["a", "b", "1"], ["a", "b", "2"]]},
+         "error: conflicting distances for ('a', 'b')"),
+        ({"points": ["a", "b"], "dist": [["a", "b", "1"], ["b", "a", "2"]]},
+         "error: conflicting distances for ('a', 'b')"),
+        ({"points": ["a", "b"], "dist": [[["a"], "b", "1"]]},
+         "error: point id must be a string or integer: ['a']"),
+        ({"points": ["a", "b"], "dist": "ab"}, "error: dist must be a list of rows"),
+    ]
+    for obj, err in cases:
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(obj))
+        res = run(["ultra", "verify", str(path)])
+        assert (res.exit_code, res.out, res.err) == (1, "", err), obj
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps({"levels": [[["a", ["x"]]]]}))
+    res = run(["ultra", "base-eq", str(path), "--covers"])
+    assert (res.exit_code, res.out, res.err) == (
+        1, "", "error: point id must be a string or integer: ['x']")
+
+
 def test_homeo_commands():
     res = run(["homeo", "fwd", "(1)~(2)", "--depth", "3"])
     assert (res.exit_code, res.out) == (0, "(24/17, 17/12) midpoint 577/408")

@@ -1,10 +1,11 @@
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 from bairecf import euclid_div, format_rational, parse_rational
-from bairecf.rational import MAX_DIGITS
+from bairecf.rational import MAX_DIGITS, rational_pairs
 
 
 def test_parse_basic():
@@ -82,3 +83,31 @@ def test_euclid_div_rejects_nonpositive_divisor():
         euclid_div(5, 0)
     with pytest.raises(ValueError):
         euclid_div(5, -3)
+
+
+def _pairs_oracle(texts):
+    """parse_rational text by text, as (numerator, denominator) pairs."""
+    return [(v.numerator, v.denominator) for v in map(parse_rational, texts)]
+
+
+def test_rational_pairs_match_parse_rational():
+    rng = random.Random(777)
+    good = ["3/4", " 6 / 8 ", "-10/4", "5", "-0", "0/3", "12/1", "9" * MAX_DIGITS,
+            "1/" + "7" * MAX_DIGITS, " " * MAX_DIGITS + "2/3", "7/3\n"]
+    bad = ["", "3/", "3.5", "1/-2", "--2", "1/0", "0/00", "9" * (MAX_DIGITS + 1),
+           "1/" + "1" * (MAX_DIGITS + 1)]
+    errors = 0
+    for _ in range(400):
+        texts = [rng.choice(good) for _ in range(rng.randint(0, 8))]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            texts.insert(rng.randint(0, len(texts)), rng.choice(bad))
+        try:
+            want = _pairs_oracle(texts)
+        except ValueError as e:
+            errors += 1
+            with pytest.raises(ValueError) as exc:
+                rational_pairs(texts)
+            assert str(exc.value) == str(e)
+        else:
+            assert rational_pairs(texts) == want
+    assert 100 < errors < 350

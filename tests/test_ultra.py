@@ -3,17 +3,23 @@
 import random
 import re
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 
 import bairecf.ultra as ultra
 from _oracles import (
+    ball_checks_oracle,
     ball_properties_hold,
+    ball_report_oracle,
     ball_system,
+    base_equality_oracle,
     closed_ball,
+    cover_sequence_oracle,
     midpoint_radii,
     open_ball,
+    separation_oracle,
+    table_from_json_oracle,
+    table_oracle,
     triangle_failure,
     ultrametric_scan_oracle,
 )
@@ -34,7 +40,7 @@ from bairecf import (
     verify_base_equality,
     verify_ultrametric,
 )
-from bairecf.ultra import _ball, _radii
+from bairecf.ultra import _ball_checks, _ball_sweep, _balls, _select
 
 
 def _table(points, triples):
@@ -169,6 +175,9 @@ def test_cover_sequence_rejects_bad_levels():
         CoverSequence([[{"a", "b"}], [{"a"}]])
     with pytest.raises(ValueError, match="not inside a single"):
         CoverSequence([[{"a"}, {"b"}], [{"a", "b"}]])
+    # the overlap named is the first member of a later block seen in an earlier one
+    with pytest.raises(ValueError, match="^level 0: blocks overlap at 2$"):
+        CoverSequence([[{2, 3}, {0, 3}, {1, 2}]])
 
 
 def test_build_cover_sequence_three_point_example():
@@ -377,18 +386,28 @@ def _random_covers(rng, n):
     return CoverSequence(levels)
 
 
+def _sweep_sets(table):
+    """The sweep as (radius, balls) with Fraction radii and frozenset balls."""
+    return [(Fraction(r, table.scale), [frozenset(_select(table.points, b)) for b in balls])
+            for r, balls in _ball_sweep(table)]
+
+
 def test_ball_sweep_matches_midpoint_oracle():
     rng = random.Random(8181)
     passed = 0
     for trial in range(300):
         n = rng.randint(1, 12)
         table = _merge_tree_table(rng, n) if trial % 2 else _random_table(rng, n)
-        radii = _radii(table)
-        swept = {_ball(table, i, r) for r in radii for i in range(n)}
+        sweep = _sweep_sets(table)
+        vals = table.values()
+        assert [r for r, _ in sweep] == vals + [(vals[-1] if vals else 0) + 1]
+        for r, balls in sweep:
+            assert balls == [open_ball(table, x, r) for x in table.points]
+        swept = {b for _, balls in sweep for b in balls}
         assert swept == ball_system(table, midpoint_radii(table))
-        for r, nxt in zip(radii, radii[1:]):
+        for (r, _), (_, nxt) in zip(sweep, sweep[1:]):
             for i, x in enumerate(table.points):
-                assert closed_ball(table, x, r) == _ball(table, i, nxt)
+                assert closed_ball(table, x, r) == nxt[i]
         expected = ball_properties_hold(table)
         assert expected or trial % 2 == 0
         assert verify_ball_properties(table).all_passed == expected
@@ -499,22 +518,6 @@ def _table_kind(rng, kind, ids):
     return {p: Fraction(rng.randint(1, 40), rng.choice([3, 5, 7, 11, 13])) for p in pairs}
 
 
-def _ball_report_oracle(table):
-    """``verify_ball_properties`` with its balls, radii and ultrametric test
-    replaced by brute-force ``Fraction`` versions."""
-    def radii(t):
-        vals = sorted({t.d(x, y) for x, y in t.pairs()})
-        return vals + [(vals[-1] if vals else Fraction(0)) + 1]
-
-    with mock.patch.multiple(
-        ultra,
-        _ball=lambda t, i, r: open_ball(t, t.points[i], r),
-        _radii=radii,
-        verify_ultrametric=ultrametric_scan_oracle,
-    ):
-        return ultra.verify_ball_properties(table)
-
-
 def test_reports_match_fraction_oracles():
     rng = random.Random(24680)
     kinds = ("tree", "perturbed", "arbitrary", "few", "coprime")
@@ -526,7 +529,8 @@ def test_reports_match_fraction_oracles():
         table = DistanceTable(ids, dist)
         um = verify_ultrametric(table)
         assert um == ultrametric_scan_oracle(table), (kind, table.as_json())
-        assert verify_ball_properties(table) == _ball_report_oracle(table), (kind, table.as_json())
+        assert verify_ball_properties(table) == ball_report_oracle(table), (kind, table.as_json())
+        assert _ball_checks(table) == ball_checks_oracle(table), (kind, table.as_json())
         verdicts[kind].add(um.all_passed)
         bad = triangle_failure(table)
         if bad is None:
@@ -545,10 +549,13 @@ def test_reports_match_fraction_oracles():
 
 def test_ball_radius_boundaries():
     # a distance equal to the radius stays outside the open ball
+    def ball(t, i, r):
+        return set(_select(t.points, _balls(t, r)[i]))
+
     t = _table("abc", [("a", "b", Fraction(1, 4)), ("a", "c", Fraction(1, 3)), ("b", "c", 1)])
-    assert _ball(t, 0, Fraction(1, 4)) == {"a"}
-    assert _ball(t, 0, Fraction(1, 3)) == {"a", "b"}
-    assert _ball(t, 0, Fraction(1, 3) + Fraction(1, 10**30)) == {"a", "b", "c"}
+    assert ball(t, 0, Fraction(1, 4)) == {"a"}
+    assert ball(t, 0, Fraction(1, 3)) == {"a", "b"}
+    assert ball(t, 0, Fraction(1, 3) + Fraction(1, 10**30)) == {"a", "b", "c"}
     # denominators 3, 5 and 7 against the cover radii 1/2^(i+2): r times the
     # common denominator 105 is never an integer, and distances k/105 sit on
     # both sides of every radius
@@ -559,8 +566,8 @@ def test_ball_radius_boundaries():
     for level in range(6):
         r = Fraction(1, 2 ** (level + 2))
         for i, x in enumerate(t.points):
-            assert _ball(t, i, r) == open_ball(t, x, r)
-        assert len(_ball(t, 0, r)) == 1 + 105 // 2 ** (level + 2)
+            assert ball(t, i, r) == open_ball(t, x, r)
+        assert len(ball(t, 0, r)) == 1 + 105 // 2 ** (level + 2)
 
 
 def test_verify_ultrametric_tied_and_tiny_tables():
@@ -620,3 +627,195 @@ def test_json_budgets_refuse_before_any_table(monkeypatch):
     table_from_json({"points": list(range(ultra.MAX_POINTS)), "dist": []})
     covers_from_json({"levels": [[list(range(ultra.MAX_POINTS))]]})
     assert len(built) == 2
+
+
+# --- integer pairs and bitmasks against the Fraction and frozenset oracles ---
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the type and text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return type(e), str(e), getattr(e, "pair", None)
+
+
+def _as_triple(table):
+    return table.points, table.scale, table.rows
+
+
+def _value_text(rng, v):
+    """v as a JSON value: plain, unreduced, padded, or a bare int."""
+    pick = rng.randrange(4)
+    if pick == 0 and v.denominator == 1:
+        return v.numerator
+    if pick == 1:
+        k = rng.randint(2, 5)
+        return f"{v.numerator * k}/{v.denominator * k}"
+    if pick == 2:
+        return f" {v.numerator} / {v.denominator} "
+    return str(v)
+
+
+_BAD_VALUES = ("1/0", "abc", "1.5", "", "0", "-1/2", "0/7", "2/-3", "1" * 4301, 1.5, [1], None)
+
+
+def _inject(rng, obj):
+    """One fault somewhere in a JSON table object, in place."""
+    ids, rows = obj["points"], obj["dist"]
+    if not isinstance(rows, list):
+        return
+    fault = rng.randrange(11)
+    spot = rng.randrange(len(rows) + 1)
+    good = [r for r in rows if isinstance(r, list) and len(r) == 3]
+    row = rng.choice(good) if good else None
+    if fault == 0:
+        rows.insert(spot, rng.choice([["a"], "x", [1, 2], {"a": 1}, None]))
+    elif fault == 1 and row:
+        row[2] = rng.choice(_BAD_VALUES)
+    elif fault == 2 and ids:
+        ids.append(rng.choice(ids))
+    elif fault == 3:
+        ids.append(rng.choice([1.5, None, ["a"]]))
+    elif fault == 4 and ids:
+        rows.insert(spot, [rng.choice(ids), "zz", "1"])
+    elif fault == 5 and ids:
+        x = rng.choice(ids)
+        rows.insert(spot, [x, x, "1"])
+    elif fault == 6 and row:
+        x, y, v = row
+        again = [x, y] if rng.random() < 0.5 else [y, x]
+        rows.insert(spot, again + [rng.choice([v, "7/3", "1"])])
+    elif fault == 7 and row:
+        rows.remove(row)
+    elif fault == 8 and row:
+        row[rng.randrange(2)] = rng.choice([[row[0]], {"x": 1}])
+    elif fault == 9 and row:
+        row[2] = f"1/{rng.choice([2**61 - 1, 10**30 + 7])}"
+    elif fault == 10:
+        obj["dist"] = rng.choice(["ab", {}, None, 3])
+
+
+def test_table_from_json_matches_fraction_oracle(monkeypatch):
+    # a small matrix budget, so that small tables reach it too
+    monkeypatch.setattr(ultra, "MAX_MATRIX_BITS", 1 << 11)
+    rng = random.Random(13579)
+    kinds = ("tree", "perturbed", "arbitrary", "few", "coprime")
+    outcomes = set()
+    for trial in range(2000):
+        ids = _mixed_ids(rng, rng.randint(0, 12))
+        dist = _table_kind(rng, kinds[trial % len(kinds)], ids)
+        rows = [[x, y, _value_text(rng, v)] if rng.random() < 0.5 else [y, x, _value_text(rng, v)]
+                for (x, y), v in dist.items()]
+        rng.shuffle(rows)
+        obj = {"points": list(ids), "dist": rows}
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            _inject(rng, obj)
+        metric = rng.random() < 0.5
+        got = _outcome(lambda: _as_triple(table_from_json(obj, metric)))
+        want = _outcome(table_from_json_oracle, obj, metric, 800, 1 << 11)
+        assert got == want, obj
+        outcomes.add(got[1].split(":")[0].split(" for")[0][:24] if got[0] is ValueError else "ok")
+    assert len(outcomes) >= 14, outcomes
+
+
+def test_distance_table_values_match_fraction_oracle():
+    # a Fraction, an int, a float, a decimal string or a reduced pair per entry
+    rng = random.Random(2468)
+    for _ in range(300):
+        ids = _mixed_ids(rng, rng.randint(0, 10))
+        items = []
+        for (x, y), v in _table_kind(rng, "coprime", ids).items():
+            form = rng.randrange(4)
+            value = (v.numerator, v.denominator) if form == 0 else v
+            if form == 2 and v.denominator == 1:
+                value = v.numerator
+            if form == 3 and v == Fraction(float(v)):
+                value = float(v)
+            items.append(((x, y), value))
+        assert _as_triple(DistanceTable(ids, items)) == table_oracle(ids, items)
+
+
+def test_cover_sequence_matches_peel_oracle():
+    rng = random.Random(97531)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        ids = _mixed_ids(rng, n)
+        # taxicab distances between distinct grid points, cells of side 1/den
+        den = rng.choice([1, 3, 8, 16, 35])
+        cells = rng.sample([(a, b) for a in range(20) for b in range(4)], n)
+        dist = {(ids[i], ids[j]): Fraction(abs(a - c) + abs(b - d), den)
+                for i, (a, b) in enumerate(cells) for j, (c, d) in enumerate(cells) if i < j}
+        space = FiniteSpace(ids, dist)
+        depth = rng.randint(1, 7)
+        assert build_cover_sequence(space, depth).levels == cover_sequence_oracle(space, depth)
+
+
+def test_separation_levels_match_pair_oracle():
+    rng = random.Random(86420)
+    unseparated = 0
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        full = _random_covers(rng, n)
+        names = dict(zip(range(n), _mixed_ids(rng, n)))
+        levels = [[[names[x] for x in b] for b in blocks] for blocks in full.levels]
+        seq = CoverSequence(levels[: rng.randint(1, len(levels))])
+        got = _outcome(lambda: ultrametric_from_covers(seq, seq.ground))
+        want = _outcome(separation_oracle, seq, seq.ground)
+        if isinstance(want, tuple):
+            unseparated += 1
+            assert got == want
+            continue
+        assert {pair: got.d(*pair) for pair in got.pairs()} == want
+        assert verify_base_equality(seq) == base_equality_oracle(seq)
+    assert 30 < unseparated < 270
+    empty = CoverSequence([[]])
+    assert verify_base_equality(empty) == base_equality_oracle(empty)
+    assert not verify_base_equality(empty).all_passed
+
+
+def test_two_value_failure_scan_matches_oracle():
+    rng = random.Random(1212)
+    failed = 0
+    for _ in range(400):
+        ids = _mixed_ids(rng, rng.randint(0, 12))
+        low = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        high = low + Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        values = rng.choice([(low,), (low, high), (low, high, high, high)])
+        table = DistanceTable(ids, {(x, y): rng.choice(values)
+                                    for i, x in enumerate(ids) for y in ids[i + 1 :]})
+        rep = verify_ultrametric(table)
+        assert rep == ultrametric_scan_oracle(table)
+        assert rep.isosceles.passed
+        failed += not rep.all_passed
+    assert failed > 100
+
+
+def test_repeated_pair_conflicts_in_either_order():
+    for second in (["a", "b", "2"], ["b", "a", "2"]):
+        obj = {"points": ["a", "b"], "dist": [["a", "b", "1"], second]}
+        with pytest.raises(ValueError, match=r"^conflicting distances for \('a', 'b'\)$"):
+            table_from_json(obj)
+    for second in (["a", "b", "2/2"], ["b", "a", "1"]):
+        table = table_from_json({"points": ["a", "b"], "dist": [["a", "b", "1"], second]})
+        assert table.d("a", "b") == 1
+    with pytest.raises(ValueError, match=r"^conflicting distances for \(1, 'a'\)$"):
+        DistanceTable([1, "a"], [(("a", 1), 2), ((1, "a"), 3)])
+
+
+def test_unhashable_ids_are_named():
+    message = r"^point id must be a string or integer: \['a'\]$"
+    with pytest.raises(ValueError, match=message):
+        table_from_json({"points": ["a", "b"], "dist": [[["a"], "b", "1"]]})
+    with pytest.raises(ValueError, match=message):
+        table_from_json({"points": ["a", "b"], "dist": [["a", ["a"], "1"]]})
+    with pytest.raises(ValueError, match=r"^point id must be a string or integer: \['x'\]$"):
+        covers_from_json({"levels": [[["a", ["x"]]]]})
+    with pytest.raises(ValueError, match=r"^point id must be a string or integer: \{\}$"):
+        CoverSequence([[["a"], [{}]]])
+    for levels in ([3], [[3]], ["ab"], [[["a"]], "b"]):
+        with pytest.raises(ValueError, match="^expected"):
+            covers_from_json({"levels": levels})
+    for dist in ("ab", {}, None):
+        with pytest.raises(ValueError, match="^dist must be a list of rows$"):
+            table_from_json({"points": ["a", "b"], "dist": dist})
