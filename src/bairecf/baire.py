@@ -20,6 +20,8 @@ from fractions import Fraction
 from itertools import chain, compress, cycle, islice, repeat
 from operator import ne
 
+from .rational import INT_DIGITS, check_digit_budget
+
 
 class InsufficientPrecisionError(ValueError):
     """A point was consulted past its known entries and it has no tail."""
@@ -235,7 +237,7 @@ def psi_inverse(p: Baire2Prefix) -> BairePrefix:
 
 
 _POINT_RE = re.compile(r"\s*\(([^()~]*)\)\s*(?:~\s*\(([^()~]*)\)\s*)?$")
-_INT_RE = re.compile(r"-?\d+")
+_INT_RE = re.compile(rf"-?{INT_DIGITS}")
 
 
 def _parse_int_list(body: str, what: str) -> tuple[int, ...]:
@@ -245,6 +247,7 @@ def _parse_int_list(body: str, what: str) -> tuple[int, ...]:
     toks = list(map(str.strip, body.split(",")))
     if not all(map(_INT_RE.fullmatch, toks)):
         bad = next(tok for tok in toks if not _INT_RE.fullmatch(tok))
+        check_digit_budget(bad, f"{what} entry")
         raise ValueError(f"bad {what} entry: {bad!r}")
     return tuple(map(int, toks))
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 from typing import Sequence
 
-from .rational import euclid_div
+from .rational import INT_DIGITS, check_digit_budget, euclid_div
 from .surd import QuadraticSurd
 
 
@@ -147,12 +147,15 @@ def expand_surd(s: QuadraticSurd, depth: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-_CF_RE = re.compile(r"\s*\[\s*(-?\d+)\s*(?:;\s*(\d+(?:\s*,\s*\d+)*)\s*)?\]\s*$")
+_CF_RE = re.compile(
+    rf"\s*\[\s*(-?{INT_DIGITS})\s*(?:;\s*({INT_DIGITS}(?:\s*,\s*{INT_DIGITS})*)\s*)?\]\s*$"
+)
 
 
 def parse_cf(text: str) -> tuple[int, ...]:
     m = _CF_RE.match(text)
     if m is None:
+        check_digit_budget(text, "word digit")
         raise ValueError(f"not a continued-fraction word: {text!r}")
     digits = [int(m.group(1))]
     if m.group(2):

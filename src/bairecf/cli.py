@@ -12,9 +12,15 @@ before anything is built, and ``ultra`` and ``embed`` inputs at
 ``ultra.MAX_POINTS`` points and ``ultra.MAX_MATRIX_BITS`` bits of matrix when
 their JSON is read.
 
+Each ``_cmd_*`` handler returns only the command's JSON payload, a dict; a
+verification that finds a violation says so with ``"status": "error"``.  The
+text form is a view of that payload, and ``run`` renders it only without
+--json, inside the same error handling as the handler.
+
 ``run`` reuses one argparse tree per process, built on first use (parsing
-reads no environment; the cap is read as each command runs).  Handlers are
-bound into it then, so patch the module functions they call, not ``_cmd_*``.
+reads no environment; the cap is read as each command runs).  Handlers and
+views are bound into it then, so patch the module functions the handlers
+call, not ``_cmd_*``.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import __version__
 from .baire import (
@@ -80,13 +87,6 @@ class CommandResult:
     err: str = ""
 
 
-@dataclass(frozen=True)
-class _Output:
-    payload: dict
-    text: str
-    failed: bool = False  # a verification ran and found a violation
-
-
 def _max_depth() -> int:
     raw = os.environ.get(MAX_DEPTH_ENV)
     if raw is None:
@@ -115,14 +115,23 @@ def _load_json(path: str):
             raise ValueError(f"{path}: invalid JSON: {e}") from None
 
 
-def _render_checks(pairs) -> str:
-    lines = []
-    for name, check in pairs:
-        if check.passed:
-            lines.append(f"{name}: pass")
-        else:
-            lines.append(f"{name}: FAIL ({check.counterexample})")
-    return "\n".join(lines)
+def _check_lines(report: dict) -> list[str]:
+    """One "name: pass" or "name: FAIL (counterexample)" line per check of a report payload."""
+    return [f"{name}: pass" if c["passed"] else f"{name}: FAIL ({c['counterexample']})"
+            for name, c in report.items() if isinstance(c, dict) and "counterexample" in c]
+
+
+def _status(passed: bool) -> str:
+    return "ok" if passed else "error"
+
+
+def _ends(interval) -> dict:
+    return {"lo": format_rational(interval.lo), "hi": format_rational(interval.hi)}
+
+
+def _interval(p: dict) -> str:
+    """An interval payload's ends in IntervalQ's notation."""
+    return f"({p['lo']}, {p['hi']})"
 
 
 def _point_class(args) -> type:
@@ -132,79 +141,65 @@ def _point_class(args) -> type:
 # --- cf ---
 
 
-def _cmd_cf_expand(args) -> _Output:
+def _cmd_cf_expand(args) -> dict:
     x = parse_rational(args.value)
     word = expand_rational(x)
-    return _Output(
-        {"value": format_rational(x), "word": list(word.digits)},
-        format_cf(word),
-    )
+    return {"value": format_rational(x), "word": list(word.digits)}
 
 
-def _cmd_cf_eval(args) -> _Output:
+def _cmd_cf_eval(args) -> dict:
     digits = parse_cf(args.word)
-    v = format_rational(evaluate(digits))
-    return _Output({"word": list(digits), "value": v}, v)
+    return {"word": list(digits), "value": format_rational(evaluate(digits))}
 
 
-def _cmd_cf_convergents(args) -> _Output:
+def _cmd_cf_convergents(args) -> dict:
     x = parse_rational(args.value)
     word = expand_rational(x)
     cs = [format_rational(c) for c in convergents(word)]
-    return _Output(
-        {"value": format_rational(x), "word": list(word.digits), "convergents": cs},
-        "\n".join(cs),
-    )
+    return {"value": format_rational(x), "word": list(word.digits), "convergents": cs}
 
 
 # --- surd ---
 
 
-def _cmd_surd_expand(args) -> _Output:
+def _cmd_surd_expand(args) -> dict:
     s = parse_surd(args.surd)
     depth = _capped(args.depth, "depth")
     word = expand_surd(s, depth)
-    return _Output(
-        {"surd": format_surd(s), "depth": depth, "word": list(word)},
-        format_cf(word),
-    )
+    return {"surd": format_surd(s), "depth": depth, "word": list(word)}
 
 
 # --- baire ---
 
 
-def _cmd_baire_dist(args) -> _Output:
+def _cmd_baire_dist(args) -> dict:
     cls = _point_class(args)
     f = parse_point(args.p, cls)
     g = parse_point(args.q, cls)
     bound = _capped(args.bound, "bound")
     d = baire_distance(f, g, bound)
-    return _Output(
-        {
-            "p": format_point(f),
-            "q": format_point(g),
-            "bound": bound,
-            "kind": d.kind,
-            "value": format_rational(d.value),
-        },
-        str(d),
-    )
+    return {"p": format_point(f), "q": format_point(g), "bound": bound, "kind": d.kind,
+            "value": format_rational(d.value)}
 
 
-def _cmd_baire_ball(args) -> _Output:
-    cls = _point_class(args)
-    f = parse_point(args.point, cls)
+def _cmd_baire_ball(args) -> dict:
+    f = parse_point(args.point, _point_class(args))
     r = parse_rational(args.radius)
     cyl = cylinder_of_ball(f, r)
     whole = cyl is WHOLE_SPACE
-    return _Output(
-        {"point": format_point(f), "radius": format_rational(r), "whole_space": whole,
-         "cylinder": None if whole else list(cyl)},
-        "whole space" if whole else format_point(cls(cyl)),
-    )
+    return {"point": format_point(f), "radius": format_rational(r), "whole_space": whole,
+            "cylinder": None if whole else list(cyl)}
 
 
-def _cmd_baire_psi(args) -> _Output:
+def _text_baire_ball(p: dict) -> str:
+    if p["whole_space"]:
+        return "whole space"
+    # A cylinder prints alike in both spaces, and only the z space has negative entries.
+    cyl = p["cylinder"]
+    return format_point((Baire2Prefix if min(cyl) < 0 else BairePrefix)(cyl))
+
+
+def _cmd_baire_psi(args) -> dict:
     if args.inverse:
         p = parse_point(args.point, Baire2Prefix)
         out = psi_inverse(p)
@@ -213,46 +208,26 @@ def _cmd_baire_psi(args) -> _Output:
         p = parse_point(args.point, BairePrefix)
         out = psi_map(p)
         direction = "forward"
-    return _Output(
-        {"direction": direction, "input": format_point(p), "output": format_point(out)},
-        format_point(out),
-    )
+    return {"direction": direction, "input": format_point(p), "output": format_point(out)}
 
 
 # --- cover ---
 
 
-def _cmd_cover_show(args) -> _Output:
+def _cmd_cover_show(args) -> dict:
     word = parse_cf(args.word)
     m = member_of(word)
-    return _Output(
-        {
-            "word": list(m.word),
-            "level": m.level,
-            "lo": format_rational(m.interval.lo),
-            "hi": format_rational(m.interval.hi),
-        },
-        f"level {m.level}: {m.interval}",
-    )
+    return {"word": list(m.word), "level": m.level, **_ends(m.interval)}
 
 
-def _cmd_cover_locate(args) -> _Output:
+def _cmd_cover_locate(args) -> dict:
     s = parse_surd(args.surd)
     level = _capped(args.level, "level")
     m = locate(s, level)
-    return _Output(
-        {
-            "surd": format_surd(s),
-            "level": m.level,
-            "word": list(m.word),
-            "lo": format_rational(m.interval.lo),
-            "hi": format_rational(m.interval.hi),
-        },
-        f"{format_cf(m.word)} {m.interval}",
-    )
+    return {"surd": format_surd(s), "level": m.level, "word": list(m.word), **_ends(m.interval)}
 
 
-def _cmd_cover_verify(args) -> _Output:
+def _cmd_cover_verify(args) -> dict:
     max_level = _capped(args.max_level, "max level")
     # Count words until they pass the budget; bad ranges are left to the verifier.
     words, per_level = 0, args.a0_hi - args.a0_lo + 1
@@ -264,109 +239,75 @@ def _cmd_cover_verify(args) -> _Output:
             )
         per_level *= max(args.digit_max, 0)
     report = verify_cover_properties(max_level, (args.a0_lo, args.a0_hi), args.digit_max)
-    checks = [
-        ("disjoint", report.disjoint),
-        ("refinement", report.refinement),
-        ("closure_refinement", report.closure_refinement),
-        ("mesh", report.mesh),
-    ]
-    lines = [_render_checks(checks)]
-    for level, length in sorted(report.max_length_by_level.items()):
-        lines.append(f"max_length level {level}: {format_rational(length)}")
-    lines.append(f"words_checked: {report.words_checked}")
-    return _Output(report.as_json(), "\n".join(lines), failed=not report.all_passed)
+    return {"status": _status(report.all_passed), **report.as_json()}
+
+
+def _text_cover_verify(p: dict) -> str:
+    lengths = [f"max_length level {k}: {v}" for k, v in p["max_length_by_level"].items()]
+    return "\n".join([*_check_lines(p), *lengths, f"words_checked: {p['words_checked']}"])
 
 
 # --- homeo ---
 
 
-def _cmd_homeo_fwd(args) -> _Output:
+def _cmd_homeo_fwd(args) -> dict:
     p = parse_point(args.point, Baire2Prefix)
     depth = _capped(args.depth, "depth")
     ap = phi_forward(p, depth)
-    return _Output(
-        {
-            "point": format_point(p),
-            "depth": depth,
-            "lo": format_rational(ap.interval.lo),
-            "hi": format_rational(ap.interval.hi),
-            "midpoint": format_rational(ap.midpoint),
-            "width": format_rational(ap.width),
-        },
-        f"{ap.interval} midpoint {format_rational(ap.midpoint)}",
-    )
+    return {"point": format_point(p), "depth": depth, **_ends(ap.interval),
+            "midpoint": format_rational(ap.midpoint), "width": format_rational(ap.width)}
 
 
-def _cmd_homeo_inv(args) -> _Output:
+def _cmd_homeo_inv(args) -> dict:
     s = parse_surd(args.surd)
     depth = _capped(args.depth, "depth")
     q = phi_inverse(s, depth)
-    return _Output(
-        {"surd": format_surd(s), "depth": depth, "point": format_point(q)},
-        format_point(q),
-    )
+    return {"surd": format_surd(s), "depth": depth, "point": format_point(q)}
 
 
-def _cmd_homeo_ball(args) -> _Output:
+def _cmd_homeo_ball(args) -> dict:
     p = parse_point(args.point, Baire2Prefix)
     n = _capped(args.n, "ball index")
     chk = check_ball_image(p, n)
-    return _Output(
-        {
-            "point": format_point(p),
-            "n": n,
-            "cylinder": list(chk.cylinder),
-            "lo": format_rational(chk.interval.lo),
-            "hi": format_rational(chk.interval.hi),
-            "samples_checked": chk.samples_checked,
-            "all_inside": chk.all_inside,
-        },
-        f"{format_cf(chk.cylinder)} {chk.interval} "
-        f"({chk.samples_checked} samples {'inside' if chk.all_inside else 'ESCAPED'})",
-        failed=not chk.all_inside,
-    )
+    return {"status": _status(chk.all_inside), "point": format_point(p), "n": n,
+            "cylinder": list(chk.cylinder), **_ends(chk.interval),
+            "samples_checked": chk.samples_checked, "all_inside": chk.all_inside}
+
+
+def _text_homeo_ball(p: dict) -> str:
+    return (f"{format_cf(p['cylinder'])} {_interval(p)} "
+            f"({p['samples_checked']} samples {'inside' if p['all_inside'] else 'ESCAPED'})")
 
 
 # --- ultra ---
 
 
-def _cmd_ultra_build(args) -> _Output:
+def _cmd_ultra_build(args) -> dict:
     space = table_from_json(_load_json(args.space), require_metric=True)
     depth = _capped(args.depth, "depth")
     seq = build_cover_sequence(space, depth)
     table = ultrametric_from_covers(seq, seq.ground)
-    lines = []
-    for i, blocks in enumerate(seq.levels):
-        lines.append(f"level {i}: " + " | ".join(_fmt_set(b) for b in blocks))
-    for x, y in table.pairs():
-        lines.append(f"d({x}, {y}) = {format_rational(table.d(x, y))}")
-    return _Output(
-        {"depth": depth, "covers": seq.as_json()["levels"], "table": table.as_json()},
-        "\n".join(lines),
-    )
+    return {"depth": depth, "covers": seq.as_json()["levels"], "table": table.as_json()}
 
 
-def _cmd_ultra_verify(args) -> _Output:
+def _text_ultra_build(p: dict) -> str:
+    levels = [f"level {i}: " + " | ".join(map(_fmt_set, b)) for i, b in enumerate(p["covers"])]
+    return "\n".join([*levels, *(f"d({x}, {y}) = {d}" for x, y, d in p["table"]["dist"])])
+
+
+def _cmd_ultra_verify(args) -> dict:
     bp = verify_ball_properties(table_from_json(_load_json(args.table)))
-    um = bp.ultrametric
-    checks = [
-        ("strong_triangle", um.strong_triangle),
-        ("isosceles", um.isosceles),
-        ("nesting", bp.nesting),
-        ("same_radius_coincide", bp.same_radius_coincide),
-        ("every_point_centers", bp.every_point_centers),
-        ("closed_ball_absorption", bp.closed_ball_absorption),
-        ("equal_radius_partition", bp.equal_radius_partition),
-    ]
-    failed = not (um.all_passed and bp.all_passed)
-    return _Output(
-        {"ultrametric": um.as_json(), "balls": bp.as_json()},
-        _render_checks(checks),
-        failed=failed,
-    )
+    return {"status": _status(bp.all_passed), "ultrametric": bp.ultrametric.as_json(),
+            "balls": bp.as_json()}
 
 
-def _cmd_ultra_base_eq(args) -> _Output:
+def _text_ultra_verify(p: dict) -> str:
+    balls = dict(p["balls"])
+    del balls["precondition_ultrametric"]  # the two ultrametric lines already say it
+    return "\n".join(_check_lines(p["ultrametric"]) + _check_lines(balls))
+
+
+def _cmd_ultra_base_eq(args) -> dict:
     if args.covers:
         seq = covers_from_json(_load_json(args.source))
         depth = _capped(seq.depth, "covers depth")
@@ -377,33 +318,30 @@ def _cmd_ultra_base_eq(args) -> _Output:
         depth = _capped(args.depth, "depth")
         seq = build_cover_sequence(space, depth)
     rep = verify_base_equality(seq)
-    lines = [
-        _render_checks([("equality", rep.equality)]),
-        f"ball_system_size: {rep.ball_system_size}",
-        f"base_system_size: {rep.base_system_size}",
-    ]
-    payload = rep.as_json()
-    payload["depth"] = depth
-    return _Output(payload, "\n".join(lines), failed=not rep.all_passed)
+    return {"status": _status(rep.all_passed), **rep.as_json(), "depth": depth}
 
 
-def _cmd_embed(args) -> _Output:
+def _text_ultra_base_eq(p: dict) -> str:
+    return "\n".join([*_check_lines(p), f"ball_system_size: {p['ball_system_size']}",
+                      f"base_system_size: {p['base_system_size']}"])
+
+
+def _cmd_embed(args) -> dict:
     space = table_from_json(_load_json(args.space), require_metric=True)
     depth = _capped(args.depth, "depth")
     seq = build_cover_sequence(space, depth)
     emb = sierpinski_embed(seq)
-    lines = [f"{x} -> {format_point(p)}" for x, p in emb.items()]
-    return _Output(
-        {
-            "depth": depth,
-            "embedding": [[x, list(p.entries)] for x, p in emb.items()],
-        },
-        "\n".join(lines),
-    )
+    return {"depth": depth, "embedding": [[x, list(p.entries)] for x, p in emb.items()]}
 
 
-def _add_json(p: _Parser) -> None:
+def _text_embed(p: dict) -> str:
+    return "\n".join(f"{x} -> {format_point(BairePrefix(e))}" for x, e in p["embedding"])
+
+
+def _leaf(p: _Parser, handler, view) -> None:
+    """Finish a leaf command: --json last, then its payload handler and text view."""
     p.add_argument("--json", action="store_true", help="print a single-line JSON payload")
+    p.set_defaults(handler=handler, view=view)
 
 
 def _add_space(p: _Parser) -> None:
@@ -425,25 +363,21 @@ def build_parser() -> _Parser:
     sp = cf_sub.add_parser("expand", help="canonical word of a rational")
     sp.add_argument("value", help='rational, like "355/113"')
     sp._negative_number_matcher = _NEGATIVE_RATIONAL
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_cf_expand)
+    _leaf(sp, _cmd_cf_expand, lambda p: format_cf(p["word"]))
     sp = cf_sub.add_parser("eval", help="exact value of a word")
     sp.add_argument("word", help='word, like "[3; 7, 16]"')
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_cf_eval)
+    _leaf(sp, _cmd_cf_eval, itemgetter("value"))
     sp = cf_sub.add_parser("convergents", help="prefix values of a rational's word")
     sp.add_argument("value", help='rational, like "355/113"')
     sp._negative_number_matcher = _NEGATIVE_RATIONAL
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_cf_convergents)
+    _leaf(sp, _cmd_cf_convergents, lambda p: "\n".join(p["convergents"]))
 
     surd_p = sub.add_parser("surd", help="quadratic surds")
     surd_sub = surd_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
     sp = surd_sub.add_parser("expand", help="digit expansion of a surd")
     sp.add_argument("surd", help='surd, like "(0+1*sqrt(2))/1"')
     sp.add_argument("--depth", type=int, default=10, help="digits after the integer part")
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_surd_expand)
+    _leaf(sp, _cmd_surd_expand, lambda p: format_cf(p["word"]))
 
     baire_p = sub.add_parser("baire", help="integer sequence space")
     baire_sub = baire_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
@@ -452,80 +386,67 @@ def build_parser() -> _Parser:
     sp.add_argument("q", help="point")
     sp.add_argument("--bound", type=int, default=32, help="indices to scan")
     _add_space(sp)
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_baire_dist)
+    _leaf(sp, _cmd_baire_dist, lambda p: f"{p['kind']} {p['value']}")
     sp = baire_sub.add_parser("ball", help="cylinder equal to an open ball")
     sp.add_argument("point", help="ball center")
     sp.add_argument("radius", help='rational radius, like "1/3"')
     _add_space(sp)
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_baire_ball)
+    _leaf(sp, _cmd_baire_ball, _text_baire_ball)
     sp = baire_sub.add_parser("psi", help="recode between the two sequence spaces")
     sp.add_argument("point", help="point to recode")
     sp.add_argument("--inverse", action="store_true", help="map back to non-negative entries")
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_baire_psi)
+    _leaf(sp, _cmd_baire_psi, itemgetter("output"))
 
     cover_p = sub.add_parser("cover", help="rational interval family")
     cover_sub = cover_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
     sp = cover_sub.add_parser("show", help="interval named by a word")
     sp.add_argument("word", help='word, like "[1; 2]"')
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_cover_show)
+    _leaf(sp, _cmd_cover_show, lambda p: f"level {p['level']}: {_interval(p)}")
     sp = cover_sub.add_parser("locate", help="level member holding a surd")
     sp.add_argument("surd", help='surd, like "(0+1*sqrt(2))/1"')
     sp.add_argument("--level", type=int, default=3, help="level to search")
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_cover_locate)
+    _leaf(sp, _cmd_cover_locate, lambda p: f"{format_cf(p['word'])} {_interval(p)}")
     sp = cover_sub.add_parser("verify", help="check the family's properties on a finite slice")
     sp.add_argument("--max-level", type=int, default=3, help="deepest level to enumerate")
     sp.add_argument("--a0-lo", type=int, default=-2, help="smallest head digit")
     sp.add_argument("--a0-hi", type=int, default=2, help="largest head digit")
     sp.add_argument("--digit-max", type=int, default=4, help="largest later digit")
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_cover_verify)
+    _leaf(sp, _cmd_cover_verify, _text_cover_verify)
 
     homeo_p = sub.add_parser("homeo", help="sequences <-> irrationals dictionary")
     homeo_sub = homeo_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
     sp = homeo_sub.add_parser("fwd", help="interval approximation of a point's value")
     sp.add_argument("point", help='point, like "(1,2,2)~(2)"')
     sp.add_argument("--depth", type=int, default=8, help="digits to use, minus one")
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_homeo_fwd)
+    _leaf(sp, _cmd_homeo_fwd, lambda p: f"{_interval(p)} midpoint {p['midpoint']}")
     sp = homeo_sub.add_parser("inv", help="sequence prefix of a surd")
     sp.add_argument("surd", help='surd, like "(0+1*sqrt(3))/1"')
     sp.add_argument("--depth", type=int, default=8, help="digits to recover, minus one")
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_homeo_inv)
+    _leaf(sp, _cmd_homeo_inv, itemgetter("point"))
     sp = homeo_sub.add_parser("ball", help="match a ball around a point with an interval")
     sp.add_argument("point", help="ball center")
     sp.add_argument("--n", type=int, default=3, help="ball radius is 1/n")
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_homeo_ball)
+    _leaf(sp, _cmd_homeo_ball, _text_homeo_ball)
 
     ultra_p = sub.add_parser("ultra", help="finite metric space laboratory")
     ultra_sub = ultra_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
     sp = ultra_sub.add_parser("build", help="covers and ultrametric from a space file")
     sp.add_argument("space", help="JSON file with points and distances")
     sp.add_argument("--depth", type=int, default=4, help="number of cover levels")
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_ultra_build)
+    _leaf(sp, _cmd_ultra_build, _text_ultra_build)
     sp = ultra_sub.add_parser("verify", help="ultrametric and ball checks on a table file")
     sp.add_argument("table", help="JSON file with points and distances")
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_ultra_verify)
+    _leaf(sp, _cmd_ultra_verify, _text_ultra_verify)
     sp = ultra_sub.add_parser("base-eq", help="balls equal blocks plus the whole space")
     sp.add_argument("source", help="JSON space file (or covers file with --covers)")
     sp.add_argument("--depth", type=int, default=None, help="cover levels for a space file")
     sp.add_argument("--covers", action="store_true", help="read a covers file instead")
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_ultra_base_eq)
+    _leaf(sp, _cmd_ultra_base_eq, _text_ultra_base_eq)
 
     sp = sub.add_parser("embed", help="isometric digit streams for a space file")
     sp.add_argument("space", help="JSON file with points and distances")
     sp.add_argument("--depth", type=int, default=4, help="number of cover levels")
-    _add_json(sp)
-    sp.set_defaults(handler=_cmd_embed)
+    _leaf(sp, _cmd_embed, _text_embed)
 
     return p
 
@@ -541,17 +462,17 @@ def run(argv=None) -> CommandResult:
     except SystemExit as e:  # --help and --version print on their own
         return CommandResult(int(e.code or 0))
     try:
-        out = args.handler(args)
+        payload = args.handler(args)
+        # Rendering stays in here: a number too long to print is an input error.
+        if args.json:
+            out = json.dumps({"status": "ok", **payload}, sort_keys=True)
+        else:
+            out = args.view(payload)
     except UsageError as e:
         return CommandResult(2, err=f"usage error: {e}")
     except (ValueError, OSError) as e:
         return CommandResult(1, err=f"error: {e}")
-    if args.json:
-        payload = {"status": "error" if out.failed else "ok", **out.payload}
-        body = json.dumps(payload, sort_keys=True)
-    else:
-        body = out.text
-    return CommandResult(3 if out.failed else 0, out=body)
+    return CommandResult(3 if payload.get("status") == "error" else 0, out=out)
 
 
 def main(argv=None) -> int:

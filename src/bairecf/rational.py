@@ -3,7 +3,9 @@
 Rationals are plain ``fractions.Fraction`` values: stored reduced, denominator
 positive, arbitrary precision.  The text format is ``p/q`` with ``/q`` omitted
 for integers; ``parse_rational``/``format_rational`` round-trip bit-exactly.
-Both refuse integers over MAX_DIGITS digits, the interpreter's own default.
+Both refuse integers over MAX_DIGITS digits, the interpreter's own default;
+every parser reads integers as ``INT_DIGITS`` and names an overlong one with
+``check_digit_budget``.
 ``rational_pairs`` reads many texts in the same grammar, and under the same
 budget, as reduced integer (numerator, denominator) pairs, with no
 ``Fraction`` per text.
@@ -20,18 +22,25 @@ from operator import floordiv
 Rational = Fraction
 MAX_DIGITS = 4300  # CPython's default int <-> str limit, which is never lifted
 _DIGITS_CAP = 10**MAX_DIGITS
+INT_DIGITS = rf"\d{{1,{MAX_DIGITS}}}"  # the digits of an integer within the budget
+_OVERLONG = re.compile(rf"\d{{{MAX_DIGITS + 1}}}")
 
-_RATIONAL_RE = re.compile(r"\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
+_RATIONAL_RE = re.compile(rf"\s*(-?{INT_DIGITS})\s*(?:/\s*({INT_DIGITS})\s*)?$")
+
+
+def check_digit_budget(text: str, what: str) -> None:
+    """Refuse a text with a run of more than MAX_DIGITS digits.  Parsers call this only
+    once their INT_DIGITS patterns fail to match, so input that parses pays nothing."""
+    if _OVERLONG.search(text):
+        raise ValueError(f"{what} exceeds the {MAX_DIGITS}-digit budget")
 
 
 def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text)
     if m is None:
+        check_digit_budget(text, "rational")
         raise ValueError(f"not a rational: {text!r}")
-    num, den = m.group(1), m.group(2) or "1"
-    if max(len(num.lstrip("-")), len(den)) > MAX_DIGITS:
-        raise ValueError(f"rational exceeds the {MAX_DIGITS}-digit budget")
-    num, den = int(num), int(den)
+    num, den = int(m.group(1)), int(m.group(2) or "1")
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)
@@ -47,7 +56,7 @@ def rational_pairs(texts: list[str]) -> list[tuple[int, int]]:
     """
     distinct = list(dict.fromkeys(texts))
     found = list(map(_RATIONAL_RE.match, distinct))
-    if not all(found) or max(map(len, distinct), default=0) > MAX_DIGITS:
+    if not all(found):
         for text in distinct:
             parse_rational(text)
     num_texts, den_texts = zip(*map(re.Match.groups, found, repeat("1"))) if found else ((), ())

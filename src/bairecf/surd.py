@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .rational import INT_DIGITS, check_digit_budget
+
 
 class Ordering(enum.Enum):
     LT = "LT"
@@ -98,13 +100,15 @@ class QuadraticSurd:
 
 
 _SURD_RE = re.compile(
-    r"\s*\(\s*(-?\d+)\s*([+-])\s*(\d+)\s*\*\s*sqrt\(\s*(\d+)\s*\)\s*\)\s*/\s*(-?\d+)\s*$"
+    rf"\s*\(\s*(-?{INT_DIGITS})\s*([+-])\s*({INT_DIGITS})\s*\*\s*"
+    rf"sqrt\(\s*({INT_DIGITS})\s*\)\s*\)\s*/\s*(-?{INT_DIGITS})\s*$"
 )
 
 
 def parse_surd(text: str) -> QuadraticSurd:
     m = _SURD_RE.match(text)
     if m is None:
+        check_digit_budget(text, "surd parameter")
         raise ValueError(f"not a surd (expected \"(p+q*sqrt(d))/r\"): {text!r}")
     p = int(m.group(1))
     q = int(m.group(3)) * (1 if m.group(2) == "+" else -1)

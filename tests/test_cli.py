@@ -1,16 +1,22 @@
 """Command line behaviour: wiring, exit codes, JSON payloads."""
 
+import argparse
 import json
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from fractions import Fraction
 from types import SimpleNamespace
 
 import bairecf.cli as cli
 import bairecf.ultra as ultra
 from bairecf.cli import main, run
+from bairecf.cover import CoverReport, IntervalQ
+from bairecf.homeo import BallImageCheck
+from bairecf.report import PropertyCheck
+from bairecf.ultra import BaseEqualityReport
 
 from _commands import COMMANDS, GOLDEN_DIR, blob
 
@@ -414,3 +420,144 @@ def test_one_shot_process_matches_goldens():
                               err=proc.stderr.removesuffix("\n"))
         assert blob(got) == expected, argv
     assert proc.returncode == 2 and proc.stderr.startswith("usage error:")
+
+
+def test_a_rendering_error_exits_one_in_both_modes():
+    # the first digit of this surd has about 6450 digits: too long to print
+    nines = "9" * 4300
+    argv = ["surd", "expand", f"(0+{nines}*sqrt({nines}))/1", "--depth", "0"]
+    for extra in ([], ["--json"]):
+        res = run(argv + extra)
+        assert (res.exit_code, res.out) == (1, ""), extra
+        assert res.err.startswith("error: ") and "\n" not in res.err, extra
+        assert "Traceback" not in res.err
+
+
+def _both_modes(argv):
+    text, as_json = run(argv), run(argv + ["--json"])
+    assert (text.exit_code, text.err, as_json.exit_code, as_json.err) == (3, "", 3, "")
+    payload = json.loads(as_json.out)
+    assert payload["status"] == "error"
+    return text.out.splitlines(), payload
+
+
+def test_cover_verify_failure_exits_three_in_both_modes(monkeypatch):
+    report = CoverReport(PropertyCheck.fail("two words overlap"), PropertyCheck.ok(),
+                         PropertyCheck.fail("a child leaves its parent"), PropertyCheck.ok(),
+                         {0: Fraction(1), 1: Fraction(1, 2)}, 10)
+    monkeypatch.setattr(cli, "verify_cover_properties", lambda *args: report)
+    lines, payload = _both_modes(["cover", "verify", "--max-level", "1"])
+    assert lines == [
+        "disjoint: FAIL (two words overlap)",
+        "refinement: pass",
+        "closure_refinement: FAIL (a child leaves its parent)",
+        "mesh: pass",
+        "max_length level 0: 1",
+        "max_length level 1: 1/2",
+        "words_checked: 10",
+    ]
+    assert payload == {"status": "error", **report.as_json()}
+
+
+def test_ultra_base_eq_failure_exits_three_in_both_modes(monkeypatch):
+    report = BaseEqualityReport(PropertyCheck.fail("ball {a} is not a block or the whole space"),
+                                6, 5)
+    monkeypatch.setattr(cli, "verify_base_equality", lambda seq: report)
+    lines, payload = _both_modes(["ultra", "base-eq", SPACE3, "--depth", "2"])
+    assert lines == [
+        "equality: FAIL (ball {a} is not a block or the whole space)",
+        "ball_system_size: 6",
+        "base_system_size: 5",
+    ]
+    assert payload == {"status": "error", **report.as_json(), "depth": 2}
+
+
+def test_homeo_ball_escape_exits_three_in_both_modes(monkeypatch):
+    check = BallImageCheck((1, 2, 2), IntervalQ(Fraction(7, 5), Fraction(10, 7)), 9, False)
+    monkeypatch.setattr(cli, "check_ball_image", lambda p, n: check)
+    lines, payload = _both_modes(["homeo", "ball", "(1)~(2)", "--n", "3"])
+    assert lines == ["[1; 2, 2] (7/5, 10/7) (9 samples ESCAPED)"]
+    assert payload["all_inside"] is False
+
+
+def test_ultra_verify_failure_exits_three_in_both_modes():
+    lines, payload = _both_modes(["ultra", "verify", EUCLID3])
+    not_checked = "FAIL (not checked: table is not an ultrametric)"
+    assert lines == [
+        "strong_triangle: FAIL (d(x, z) = 5/2 > max of the other two sides = 2)",
+        "isosceles: FAIL (all three sides differ on (x, y, z): 1, 5/2, 2)",
+        f"nesting: {not_checked}",
+        f"same_radius_coincide: {not_checked}",
+        f"every_point_centers: {not_checked}",
+        f"closed_ball_absorption: {not_checked}",
+        f"equal_radius_partition: {not_checked}",
+    ]
+    assert payload["ultrametric"]["passed"] is False
+    assert payload["balls"]["passed"] is False
+
+
+# One valid argv per leaf command, keyed by the leaf's path in the parser tree.
+LEAF_SAMPLES = {
+    ("cf", "expand"): ["-3/2"],
+    ("cf", "eval"): ["[3; 7, 15, 1]"],
+    ("cf", "convergents"): ["17/12"],
+    ("surd", "expand"): ["(1+1*sqrt(5))/2", "--depth", "3"],
+    ("baire", "dist"): ["(-2,1,1)", "(-2,1,2)", "--space", "z", "--bound", "3"],
+    ("baire", "ball"): ["(-2)~(1)", "1/3", "--space", "z"],
+    ("baire", "psi"): ["(0,2,3)~(4)", "--inverse"],
+    ("cover", "show"): ["[1; 2, 2]"],
+    ("cover", "locate"): ["(0+1*sqrt(3))/1", "--level", "2"],
+    ("cover", "verify"): ["--max-level", "1"],
+    ("homeo", "fwd"): ["(1)~(2)", "--depth", "2"],
+    ("homeo", "inv"): ["(0+1*sqrt(3))/1", "--depth", "2"],
+    ("homeo", "ball"): ["(1)~(2)", "--n", "2"],
+    ("ultra", "build"): [SPACE3, "--depth", "2"],
+    ("ultra", "verify"): [EUCLID3],
+    ("ultra", "base-eq"): [COVERS3, "--covers"],
+    ("embed",): [SPACE3, "--depth", "3"],
+}
+
+
+def _leaves(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+def test_every_leaf_command_renders_in_both_modes():
+    leaves = list(_leaves(cli.build_parser()))
+    assert len(leaves) == 17
+    assert sorted(leaves) == sorted(LEAF_SAMPLES)
+    for path in leaves:
+        argv = [*path, *LEAF_SAMPLES[path]]
+        for extra in ([], ["--json"]):
+            res = run(argv + extra)
+            assert res.exit_code in (0, 3), (argv, extra, res.err)
+            assert res.out and not res.err, (argv, extra)
+
+
+def test_input_integers_past_the_digit_budget_exit_one():
+    ones = "1" * 4301
+    cases = [
+        (["cf", "eval", f"[{ones}]"], "word digit"),
+        (["cf", "eval", f"[1; 2, {ones}]"], "word digit"),
+        (["baire", "dist", f"({ones})", "(1)"], "point entry"),
+        (["surd", "expand", f"({ones}+1*sqrt(2))/1"], "surd parameter"),
+        (["surd", "expand", f"(0+1*sqrt({ones}))/1"], "surd parameter"),
+        (["homeo", "fwd", f"(1)~({ones})"], "tail entry"),
+    ]
+    for argv, what in cases:
+        for extra in ([], ["--json"]):
+            res = run(argv + extra)
+            assert (res.exit_code, res.out) == (1, ""), argv
+            assert res.err == f"error: {what} exceeds the 4300-digit budget", argv
+    # one digit fewer is within the budget
+    ones = ones[1:]
+    for argv in (["cf", "eval", f"[{ones}]"], ["baire", "dist", f"({ones})", "(1)", "--bound", "1"],
+                 ["surd", "expand", f"({ones}+1*sqrt(2))/1", "--depth", "0"],
+                 ["homeo", "fwd", f"(1)~({ones})", "--depth", "0"]):
+        res = run(argv)
+        assert (res.exit_code, res.err) == (0, ""), argv

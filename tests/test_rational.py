@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from bairecf import euclid_div, format_rational, parse_rational
+from bairecf import (
+    Baire2Prefix,
+    euclid_div,
+    format_rational,
+    parse_cf,
+    parse_point,
+    parse_rational,
+    parse_surd,
+)
 from bairecf.rational import MAX_DIGITS, rational_pairs
 
 
@@ -60,6 +68,29 @@ def test_digit_budget_matches_the_interpreter_limit_without_lifting_it():
         with pytest.raises(ValueError, match="exceeds the 4300-digit budget"):
             parse_rational(text)
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_parsers_share_the_digit_budget():
+    ok, over = "7" * MAX_DIGITS, "7" * (MAX_DIGITS + 1)
+    assert parse_cf(f"[{ok}; {ok}]") == (int(ok), int(ok))
+    assert parse_point(f"(-{ok})~({ok})", Baire2Prefix).entries == (-int(ok),)
+    assert parse_surd(f"({ok}+1*sqrt(2))/1").p == int(ok)
+    cases = [
+        (parse_cf, f"[{over}]", "word digit"),
+        (parse_cf, f"[1; {ok}, {over}]", "word digit"),
+        (parse_point, f"(1, -{over})", "point entry"),
+        (parse_point, f"(1)~(2,{over})", "tail entry"),
+        (parse_surd, f"(1-1*sqrt(2))/-{over}", "surd parameter"),
+        (parse_rational, f" -{over} / 3", "rational"),
+    ]
+    for parse, text, what in cases:
+        with pytest.raises(ValueError, match=f"^{what} exceeds the 4300-digit budget$"):
+            parse(text)
+    # malformed text without an overlong integer keeps its own message
+    with pytest.raises(ValueError, match="not a continued-fraction word"):
+        parse_cf(f"[{ok}; x]")
+    with pytest.raises(ValueError, match="bad point entry"):
+        parse_point(f"({ok}, 1.5)")
 
 
 def test_euclid_div_exhaustive():
