@@ -28,8 +28,9 @@ from itertools import product
 from math import gcd, isqrt
 
 import bairecf.cover as cover
-from bairecf import InsufficientPrecisionError, QuadraticSurd
+from bairecf import Baire2Prefix, BairePrefix, InsufficientPrecisionError, QuadraticSurd
 from bairecf.cover import CoverMember, CoverReport, IntervalQ, _ends
+from bairecf.homeo import BallImageCheck, phi_forward
 from bairecf.rational import parse_rational
 from bairecf.report import PropertyCheck
 from bairecf.ultra import (
@@ -624,3 +625,40 @@ def as_digits_oracle(w, what: str = "digit sequence") -> tuple:
         if i >= 1 and a < 1:
             raise ValueError(f"{what}: digit {i} must be >= 1, got {a}")
     return digits
+
+
+def _expose_head(entries: tuple, tail):
+    # Index 0 is recoded differently from the rest, so it must sit in entries.
+    if not entries and tail is not None:
+        return (tail[0],), tail[1:] + tail[:1]
+    return entries, tail
+
+
+def psi_oracle(p, inverse: bool = False):
+    """psi (zigzag at index 0, +1 after) or, with ``inverse``, its inverse:
+    the two mirrored bodies, each with its own head code."""
+    entries, tail = _expose_head(p.entries, p.tail)
+    if inverse:
+        head = tuple(2 * z if z >= 0 else -2 * z - 1 for z in entries[:1])
+        rest = tuple(e - 1 for e in entries[1:])
+        new_tail = tuple(t - 1 for t in tail) if tail is not None else None
+        return BairePrefix(head + rest, new_tail)
+    head = tuple(n // 2 if n % 2 == 0 else -(n + 1) // 2 for n in entries[:1])
+    rest = tuple(e + 1 for e in entries[1:])
+    new_tail = tuple(t + 1 for t in tail) if tail is not None else None
+    return Baire2Prefix(head + rest, new_tail)
+
+
+def ball_image_oracle(a, n: int) -> BallImageCheck:
+    """The ball check with a point and a phi_forward per sampled extension:
+    the 9 words that extend a's n-digit prefix by two digits from 1..3."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    prefix = a.prefix(n)
+    iv = phi_forward(a, n - 1).interval
+    samples, all_inside = 0, True
+    for ext in product((1, 2, 3), repeat=2):
+        ap = phi_forward(Baire2Prefix(prefix + ext), n + 1)
+        all_inside &= iv.contains_interval(ap.interval)
+        samples += 1
+    return BallImageCheck(prefix, iv, samples, all_inside)

@@ -11,6 +11,8 @@ from bairecf import (
     format_cf,
     format_point,
     parse_point,
+    psi_inverse,
+    psi_map,
 )
 from bairecf.baire import _parse_int_list
 from bairecf.cf import _as_digits
@@ -21,6 +23,7 @@ from _oracles import (
     parse_int_list_oracle,
     point_check_oracle,
     prefix_oracle,
+    psi_oracle,
 )
 
 # Unicode digits and spaces, a plus sign, an underscore, empty and bare-sign tokens.
@@ -129,6 +132,31 @@ def test_digit_sequences_match_the_oracle():
             assert format_cf(digits) == _old_format_cf(digits)
 
 
+def _random_z_point(rng):
+    head = () if rng.random() < 0.2 else (rng.choice([-(10**30), -3, -1, 0, 1, 2, 10**30]),)
+    rest = tuple(rng.choice([1, 2, 3, 10**30]) for _ in range(rng.randint(0, 5)))
+    tail = None if rng.random() < 0.4 else tuple(rng.choice([1, 2, 10**30])
+                                                 for _ in range(rng.randint(1, 3)))
+    return Baire2Prefix(head + rest if head else (), tail)
+
+
+def test_psi_matches_the_oracle():
+    rng = random.Random(9006)
+    for _ in range(3000):
+        f = _random_point(rng)
+        if rng.random() < 0.2:
+            f = BairePrefix(f.entries + (10**30,), f.tail)
+        assert psi_map(f) == psi_oracle(f), f
+        z = _random_z_point(rng)
+        assert psi_inverse(z) == psi_oracle(z, inverse=True), z
+    # tail-only points take their head from the tail, in both directions
+    for z in (Baire2Prefix((), (2, 1)), Baire2Prefix((), (1,)), Baire2Prefix((), (5, 1, 3))):
+        assert psi_inverse(z) == psi_oracle(z, inverse=True)
+        assert psi_map(psi_inverse(z)) == psi_oracle(psi_oracle(z, inverse=True))
+    assert psi_inverse(Baire2Prefix((), (2, 1))) == BairePrefix((4,), (0, 1))
+    assert psi_map(BairePrefix((), (1, 0))) == psi_oracle(BairePrefix((), (1, 0)))
+
+
 def test_points_of_20000_entries():
     rng = random.Random(9005)
     n = 20_000
@@ -142,6 +170,8 @@ def test_points_of_20000_entries():
     assert first_difference(f, g, n) == first_difference_oracle(f, g, n) == k
     assert first_difference(f, f, n) is None
     assert f.prefix(n) == prefix_oracle(f, n)
+    assert psi_map(f) == psi_oracle(f)
+    assert psi_inverse(psi_map(f)) == psi_oracle(psi_oracle(f), inverse=True) == f
     # one bad token, a Unicode digit, and a 0 after the head in the z space
     toks = list(map(str, values))
     toks[17_000] = "+5"

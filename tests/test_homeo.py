@@ -15,7 +15,7 @@ from bairecf import (
     phi_forward,
     phi_inverse,
 )
-from _oracles import NAMED_SURDS, periodic_surd
+from _oracles import NAMED_SURDS, ball_image_oracle, periodic_surd
 
 
 def test_phi_forward_examples():
@@ -143,6 +143,27 @@ def test_check_ball_image_randomized():
         assert r.cylinder == p.prefix(n) == cylinder_of_ball(p, Fraction(1, n))
         assert r.interval == interval_of(p.prefix(n))
         assert r.samples_checked == 4
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as e:  # InsufficientPrecisionError included, told apart by name
+        return type(e).__name__, str(e)
+
+
+def test_check_ball_image_matches_the_oracle():
+    rng = random.Random(9494)
+    for _ in range(400):
+        head = (rng.randint(-3, 3),)
+        rest = tuple(rng.choice([1, 2, 3, 7, 10**20]) for _ in range(rng.randint(0, 7)))
+        tail = None if rng.random() < 0.5 else tuple(rng.randint(1, 4)
+                                                     for _ in range(rng.randint(1, 3)))
+        p = Baire2Prefix(head + rest, tail)
+        n = rng.randint(0, 9)
+        got = _outcome(check_ball_image, p, n)
+        assert got == _outcome(ball_image_oracle, p, n), (p, n)
+        assert got[0] != "ok" or got[1].samples_checked == 9
 
 
 def test_check_ball_image_errors():
