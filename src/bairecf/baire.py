@@ -1,15 +1,17 @@
 """Integer-sequence points, the first-difference ultrametric, cylinders,
-and the digit-wise recoding between the two sequence spaces.
+and the digit-wise recoding psi between the two sequence spaces.
 
 A point is a finite run of known entries, optionally followed by a repeating
-tail block (so eventually-periodic points are represented exactly).  Distances
-over truncated points are tagged: EXACT when the first disagreement index was
-observed, or when equality is decidable from the periodic normal forms; AT_MOST
-when the inspected window showed no disagreement.  AT_MOST is a finite-precision
-report, not a value of the underlying metric, which lives on total sequences.
-Points are parsed, validated, compared, sliced and printed by builtin scans
-(``map``, ``all``, ``min``, ``compress``, ``islice``) whose per-entry loop runs
-in C; a Python loop runs only to name the first offending entry.
+tail block (so eventually-periodic points are represented exactly).  The two
+spaces differ only in the least entry allowed after the head, 0 or 1; psi
+zigzags the head onto the integers and adds 1 after it, and its inverse undoes
+both.  Distances over truncated points are tagged: EXACT when the first
+disagreement index was observed, or when equality is decidable from the
+periodic normal forms; AT_MOST when the inspected window showed no
+disagreement, a finite-precision report rather than a value of the metric,
+which lives on total sequences.  Points are parsed, checked, compared, sliced
+and printed by builtin scans whose per-entry loop runs in C; a Python loop
+runs only to name the first offending entry.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, cycle, islice, repeat
-from operator import ne
+from operator import add, ne
 
-from .rational import INT_DIGITS, check_digit_budget
+from .rational import INT_DIGITS, check_digit_budget, check_int_budget
 
 
 class InsufficientPrecisionError(ValueError):
@@ -49,6 +51,9 @@ def _primitive_block(block: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class _SeqPoint:
+    """A point of either space; ``least``, the least entry each subclass allows,
+    binds from index ``least_from`` on and in all of the tail, which recurs past 0."""
+
     entries: tuple[int, ...]
     tail: tuple[int, ...] | None = None
 
@@ -56,15 +61,13 @@ class _SeqPoint:
         object.__setattr__(self, "entries", tuple(self.entries))
         if self.tail is not None:
             object.__setattr__(self, "tail", tuple(self.tail))
-            if len(self.tail) == 0:
+            if not self.tail:
                 raise ValueError("tail block must be non-empty")
+        tail = self.tail or ()
         _require_ints(self.entries, "entry")
-        if self.tail is not None:
-            _require_ints(self.tail, "tail entry")
-        self._validate()
-
-    def _validate(self) -> None:
-        raise NotImplementedError
+        _require_ints(tail, "tail entry")
+        _require_at_least(self.entries, self.least, "entry", self.least_from)
+        _require_at_least(tail, self.least, "tail entry")
 
     def is_total(self) -> bool:
         return self.tail is not None
@@ -79,9 +82,7 @@ class _SeqPoint:
         if i < len(self.entries):
             return self.entries[i]
         if self.tail is None:
-            raise InsufficientPrecisionError(
-                f"{self} has no entry at index {i} and no tail"
-            )
+            raise InsufficientPrecisionError(f"{self} has no entry at index {i} and no tail")
         return self.tail[(i - len(self.entries)) % len(self.tail)]
 
     def _stream(self):
@@ -114,21 +115,13 @@ class _SeqPoint:
 class BairePrefix(_SeqPoint):
     """Point of the space of sequences of non-negative integers."""
 
-    def _validate(self) -> None:
-        _require_at_least(self.entries, 0, "entry")
-        if self.tail is not None:
-            _require_at_least(self.tail, 0, "tail entry")
+    least, least_from = 0, 0
 
 
 class Baire2Prefix(_SeqPoint):
     """Point with an arbitrary integer at index 0 and positive integers after."""
 
-    def _validate(self) -> None:
-        _require_at_least(self.entries, 1, "entry", start=1)
-        if self.tail is not None:
-            # The tail repeats from index >= 1 eventually, so every block
-            # entry must satisfy the >= 1 constraint.
-            _require_at_least(self.tail, 1, "tail entry")
+    least, least_from = 1, 1
 
 
 @dataclass(frozen=True)
@@ -156,9 +149,7 @@ def first_difference(f: _SeqPoint, g: _SeqPoint, bound: int) -> int | None:
         raise ValueError(f"bound must be >= 1, got {bound}")
     for h in (f, g):
         if not h.defined_through(bound):
-            raise InsufficientPrecisionError(
-                f"{h} is not defined through index {bound - 1}"
-            )
+            raise InsufficientPrecisionError(f"{h} is not defined through index {bound - 1}")
     return next(compress(range(bound), map(ne, f._stream(), g._stream())), None)
 
 
@@ -210,30 +201,27 @@ def _unzigzag(z: int) -> int:
     return 2 * z if z >= 0 else -2 * z - 1
 
 
-def _expose_head(
-    entries: tuple[int, ...], tail: tuple[int, ...] | None
-) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
-    # Index 0 is recoded differently from the rest, so it must sit in entries.
+def _recode(p: _SeqPoint, head_map, shift: int, cls: type) -> _SeqPoint:
+    """The cls point with head_map applied at index 0 and shift added after it; a
+    tail-only point first moves its head into entries.  The head map and an upward
+    shift can lengthen an integer, so what they make past the digit budget is refused."""
+    entries, tail = p.entries, p.tail
     if not entries and tail is not None:
-        return (tail[0],), tail[1:] + tail[:1]
-    return entries, tail
+        entries, tail = tail[:1], tail[1:] + tail[:1]
+    entries = (*map(head_map, entries[:1]), *map(add, entries[1:], repeat(shift)))
+    if tail is not None:
+        tail = tuple(map(add, tail, repeat(shift)))
+    check_int_budget(chain(entries, tail or ()) if shift > 0 else entries[:1], "psi entry")
+    return cls(entries, tail)
 
 
 def psi_map(f: BairePrefix) -> Baire2Prefix:
     """Recoding onto the integer-headed space: zigzag at index 0, +1 after."""
-    entries, tail = _expose_head(f.entries, f.tail)
-    head = (_zigzag(entries[0]),) if entries else ()
-    rest = tuple(e + 1 for e in entries[1:])
-    new_tail = tuple(t + 1 for t in tail) if tail is not None else None
-    return Baire2Prefix(head + rest, new_tail)
+    return _recode(f, _zigzag, 1, Baire2Prefix)
 
 
 def psi_inverse(p: Baire2Prefix) -> BairePrefix:
-    entries, tail = _expose_head(p.entries, p.tail)
-    head = (_unzigzag(entries[0]),) if entries else ()
-    rest = tuple(e - 1 for e in entries[1:])
-    new_tail = tuple(t - 1 for t in tail) if tail is not None else None
-    return BairePrefix(head + rest, new_tail)
+    return _recode(p, _unzigzag, -1, BairePrefix)
 
 
 _POINT_RE = re.compile(r"\s*\(([^()~]*)\)\s*(?:~\s*\(([^()~]*)\)\s*)?$")

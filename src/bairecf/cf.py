@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 from typing import Sequence
 
-from .rational import INT_DIGITS, check_digit_budget, euclid_div
+from .rational import INT_DIGITS, check_digit_budget, check_int_budget, euclid_div
 from .surd import QuadraticSurd
 
 
@@ -132,7 +132,8 @@ def expand_surd(s: QuadraticSurd, depth: int) -> tuple[int, ...]:
     (P + sqrt(D))/Q with P = sgn(q)*p*r, D = d*q^2*r^2, Q = sgn(q)*r^2, so that
     Q | D - P^2.  Each digit a = floor((P + isqrt(D) + [Q < 0])/Q) is exact as
     sqrt(D) is irrational; the next complete quotient has P <- a*Q - P and the
-    exact Q <- (D - P^2)/Q (Perron, *Die Lehre von den Kettenbrüchen*).
+    exact Q <- (D - P^2)/Q (Perron, *Die Lehre von den Kettenbrüchen*).  A digit
+    can outgrow the surd's parameters, so digits past the digit budget are refused.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -144,6 +145,7 @@ def expand_surd(s: QuadraticSurd, depth: int) -> tuple[int, ...]:
         digits.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
+    check_int_budget(digits, "surd digit")
     return tuple(digits)
 
 

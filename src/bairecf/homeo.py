@@ -10,12 +10,13 @@ interval of that length-n word.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .baire import Baire2Prefix
-from .cover import IntervalQ, interval_of, locate
+from .cf import _fold
+from .cover import IntervalQ, _interval, interval_of, locate
 from .surd import QuadraticSurd
 
 
@@ -36,8 +37,7 @@ def phi_forward(p: Baire2Prefix, depth: int) -> PhiApproximation:
     """Interval and midpoint named by the first depth+1 digits of p."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    word = p.prefix(depth + 1)
-    iv = interval_of(word)
+    iv = interval_of(p.prefix(depth + 1))
     return PhiApproximation(depth, iv, iv.midpoint)
 
 
@@ -54,26 +54,15 @@ class BallImageCheck:
     all_inside: bool
 
 
-def check_ball_image(
-    a: Baire2Prefix,
-    n: int,
-    sample_digits: tuple[int, ...] = (1, 2, 3),
-    sample_len: int = 2,
-) -> BallImageCheck:
-    """Match the radius-1/n ball around a with the interval of its n-digit word.
-
-    The ball fixes indices 0..n-1, so its image should be the interval of
-    a's length-n prefix; sampled extensions of that prefix are pushed forward
-    and checked to land inside.
-    """
+def check_ball_image(a: Baire2Prefix, n: int) -> BallImageCheck:
+    """Match the radius-1/n ball around a, which fixes indices 0..n-1, with the
+    interval of a's n-digit prefix: the 9 words extending that prefix by two
+    digits from 1..3 are pushed onto its fold and must land inside."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     prefix = a.prefix(n)
-    iv = phi_forward(a, n - 1).interval
-    samples = 0
-    all_inside = True
-    for ext in itertools.product(sample_digits, repeat=sample_len):
-        ap = phi_forward(Baire2Prefix(prefix + ext), n - 1 + sample_len)
-        all_inside &= iv.contains_interval(ap.interval)
-        samples += 1
-    return BallImageCheck(prefix, iv, samples, all_inside)
+    state = _fold(prefix)
+    iv = _interval(state)
+    inside = [iv.contains_interval(_interval(_fold(ext, state)))
+              for ext in product((1, 2, 3), repeat=2)]
+    return BallImageCheck(prefix, iv, len(inside), all(inside))

@@ -5,7 +5,7 @@ positive, arbitrary precision.  The text format is ``p/q`` with ``/q`` omitted
 for integers; ``parse_rational``/``format_rational`` round-trip bit-exactly.
 Both refuse integers over MAX_DIGITS digits, the interpreter's own default;
 every parser reads integers as ``INT_DIGITS`` and names an overlong one with
-``check_digit_budget``.
+``check_digit_budget``, and ``check_int_budget`` refuses computed ones.
 ``rational_pairs`` reads many texts in the same grammar, and under the same
 budget, as reduced integer (numerator, denominator) pairs, with no
 ``Fraction`` per text.
@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd
 from operator import floordiv
+from typing import Iterable
 
 Rational = Fraction
 MAX_DIGITS = 4300  # CPython's default int <-> str limit, which is never lifted
@@ -32,6 +33,13 @@ def check_digit_budget(text: str, what: str) -> None:
     """Refuse a text with a run of more than MAX_DIGITS digits.  Parsers call this only
     once their INT_DIGITS patterns fail to match, so input that parses pays nothing."""
     if _OVERLONG.search(text):
+        raise ValueError(f"{what} exceeds the {MAX_DIGITS}-digit budget")
+
+
+def check_int_budget(values: Iterable[int], what: str) -> None:
+    """Refuse integers that would print with more than MAX_DIGITS digits, in one
+    builtin pass.  Code that can produce such integers calls this on its results."""
+    if max(map(abs, values), default=0) >= _DIGITS_CAP:
         raise ValueError(f"{what} exceeds the {MAX_DIGITS}-digit budget")
 
 

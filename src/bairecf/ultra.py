@@ -169,6 +169,13 @@ def _check_points(n: int) -> None:
         raise ValueError(f"{n} points exceed the budget {MAX_POINTS}")
 
 
+def _check_ids(ids: list) -> None:
+    """Ids read from JSON must be exactly strings or integers: no booleans or floats."""
+    if not set(map(type, ids)) <= {str, int}:
+        x = next(x for x in ids if type(x) not in (str, int))
+        raise ValueError(f"point id must be a string or integer: {x!r}")
+
+
 def table_from_json(obj, require_metric: bool = False) -> DistanceTable:
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise ValueError('expected {"points": [...], "dist": [[i, j, "p/q"], ...]}')
@@ -176,9 +183,7 @@ def table_from_json(obj, require_metric: bool = False) -> DistanceTable:
     if not isinstance(points, list):
         raise ValueError("points must be a list of ids")
     _check_points(len(points))
-    for x in points:
-        if not isinstance(x, (str, int)):
-            raise ValueError(f"point id must be a string or integer: {x!r}")
+    _check_ids(points)
     if not isinstance(rows, list):
         raise ValueError("dist must be a list of rows")
     if not (all(map(isinstance, rows, repeat(list))) and all(map((3).__eq__, map(len, rows)))):
@@ -196,6 +201,7 @@ def table_from_json(obj, require_metric: bool = False) -> DistanceTable:
         if size > MAX_MATRIX_BITS:
             raise ValueError(
                 f"matrix of at least {size} bits exceeds the budget {MAX_MATRIX_BITS}")
+    _check_ids(list(chain.from_iterable(zip(xs, ys))))
     return (FiniteSpace if require_metric else DistanceTable)(points, zip(zip(xs, ys), pairs))
 
 
@@ -272,6 +278,7 @@ def covers_from_json(obj) -> CoverSequence:
             isinstance(level, list) and all(map(isinstance, level, repeat(list)))
             for level in levels):
         raise ValueError('expected {"levels": [[[id, ...], ...], ...]}')
+    _check_ids(list(chain.from_iterable(chain.from_iterable(levels))))
     return CoverSequence(levels)
 
 

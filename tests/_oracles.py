@@ -15,6 +15,9 @@ digit validation, ``value_at``-based first difference and prefix), as the
 reference for the builtin scans that replaced them, and the surd digit loop
 (``QuadraticSurd.floor`` then ``recip_frac``, one surd per digit) is the
 reference for the integer (P + sqrt(D))/Q recurrence of ``expand_surd``.
+The two mirrored psi bodies are the reference for the one recoding, and the
+ball check with a point and a ``phi_forward`` per sample the reference for
+the one that pushes its samples onto the prefix's fold.
 The finite-space lab keeps its ``Fraction`` and ``frozenset`` versions here as
 the references for the integer pairs and bitmasks that replaced them: the
 per-entry table loader, the frozenset ball peel, the pair-by-pair separation
@@ -409,7 +412,7 @@ def table_from_json_oracle(obj, require_metric=False, max_points=800, max_bits=1
     if len(points) > max_points:
         raise ValueError(f"{len(points)} points exceed the budget {max_points}")
     for x in points:
-        if not isinstance(x, (str, int)):
+        if type(x) not in (str, int):
             raise ValueError(f"point id must be a string or integer: {x!r}")
     if not isinstance(obj["dist"], list):
         raise ValueError("dist must be a list of rows")
@@ -425,6 +428,10 @@ def table_from_json_oracle(obj, require_metric=False, max_points=800, max_bits=1
         size = squared * scale.bit_length()
         if size > max_bits:
             raise ValueError(f"matrix of at least {size} bits exceeds the budget {max_bits}")
+    for (x, y), _ in items:
+        for z in (x, y):
+            if type(z) not in (str, int):
+                raise ValueError(f"point id must be a string or integer: {z!r}")
     return table_oracle(points, items, require_metric)
 
 

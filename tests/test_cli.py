@@ -539,6 +539,41 @@ def test_every_leaf_command_renders_in_both_modes():
             assert res.out and not res.err, (argv, extra)
 
 
+def test_surd_digits_and_psi_entries_past_the_digit_budget_exit_one():
+    nines = "9" * 4300
+    surd = f"(0+{nines}*sqrt({nines}))/1"  # its first digit has about 6450 digits
+    cases = [
+        (["surd", "expand", surd, "--depth", "0"], "surd digit"),
+        (["homeo", "inv", surd, "--depth", "0"], "surd digit"),
+        (["cover", "locate", surd, "--level", "0"], "surd digit"),
+        (["baire", "psi", f"(0,{nines})"], "psi entry"),  # +1 makes 10^4300
+        (["baire", "psi", f"(1)~({nines})"], "psi entry"),
+        (["baire", "psi", f"({nines})", "--inverse"], "psi entry"),
+        (["baire", "psi", f"(-{nines})", "--inverse"], "psi entry"),
+        (["baire", "psi", f"()~({nines})", "--inverse"], "psi entry"),
+    ]
+    for argv, what in cases:
+        for extra in ([], ["--json"]):
+            res = run(argv + extra)
+            assert (res.exit_code, res.out) == (1, ""), argv
+            assert res.err == f"error: {what} exceeds the 4300-digit budget", argv
+    # the largest results within the budget still print, in both modes
+    top, half = nines, "4" + "9" * 4299  # 2 * half + 1 = 10^4300 - 1
+    cases = [
+        (["surd", "expand", f"({nines[:-1]}8+1*sqrt(2))/1", "--depth", "0"], f"[{top}]"),
+        (["homeo", "inv", f"({nines[:-1]}8+1*sqrt(2))/1", "--depth", "0"], f"({top})"),
+        (["baire", "psi", f"(0,{nines[:-1]}8)"], f"(0,{top})"),
+        (["baire", "psi", f"(-{half})", "--inverse"], f"({nines[:-1]}7)"),
+        (["baire", "psi", f"(-5{'0' * 4299})", "--inverse"], f"({top})"),
+        (["baire", "psi", f"({half})", "--inverse"], f"({nines[:-1]}8)"),
+    ]
+    for argv, shown in cases:
+        for extra in ([], ["--json"]):
+            res = run(argv + extra)
+            assert (res.exit_code, res.err) == (0, ""), argv
+            assert shown in res.out, argv
+
+
 def test_input_integers_past_the_digit_budget_exit_one():
     ones = "1" * 4301
     cases = [

@@ -137,7 +137,7 @@ def _random_z_point(rng):
     rest = tuple(rng.choice([1, 2, 3, 10**30]) for _ in range(rng.randint(0, 5)))
     tail = None if rng.random() < 0.4 else tuple(rng.choice([1, 2, 10**30])
                                                  for _ in range(rng.randint(1, 3)))
-    return Baire2Prefix(head + rest if head else (), tail)
+    return Baire2Prefix(head + rest, tail)
 
 
 def test_psi_matches_the_oracle():

@@ -138,11 +138,11 @@ def test_check_ball_image_randomized():
     for _ in range(60):
         p = _random_point(rng)
         n = rng.randint(1, 6)
-        r = check_ball_image(p, n, sample_digits=(1, 2), sample_len=2)
+        r = check_ball_image(p, n)
         assert r.all_inside
         assert r.cylinder == p.prefix(n) == cylinder_of_ball(p, Fraction(1, n))
         assert r.interval == interval_of(p.prefix(n))
-        assert r.samples_checked == 4
+        assert r.samples_checked == 9
 
 
 def _outcome(fn, *args):

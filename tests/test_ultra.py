@@ -676,7 +676,7 @@ def _inject(rng, obj):
     elif fault == 2 and ids:
         ids.append(rng.choice(ids))
     elif fault == 3:
-        ids.append(rng.choice([1.5, None, ["a"]]))
+        ids.append(rng.choice([1.5, None, ["a"], True]))
     elif fault == 4 and ids:
         rows.insert(spot, [rng.choice(ids), "zz", "1"])
     elif fault == 5 and ids:
@@ -689,7 +689,7 @@ def _inject(rng, obj):
     elif fault == 7 and row:
         rows.remove(row)
     elif fault == 8 and row:
-        row[rng.randrange(2)] = rng.choice([[row[0]], {"x": 1}])
+        row[rng.randrange(2)] = rng.choice([[row[0]], {"x": 1}, True, 1.0])
     elif fault == 9 and row:
         row[2] = f"1/{rng.choice([2**61 - 1, 10**30 + 7])}"
     elif fault == 10:
@@ -801,6 +801,27 @@ def test_repeated_pair_conflicts_in_either_order():
         assert table.d("a", "b") == 1
     with pytest.raises(ValueError, match=r"^conflicting distances for \(1, 'a'\)$"):
         DistanceTable([1, "a"], [(("a", 1), 2), ((1, "a"), 3)])
+
+
+def test_json_ids_are_exactly_strings_or_integers():
+    def refused(x):
+        return pytest.raises(ValueError, match=rf"^point id must be a string or integer: {x}$")
+
+    with refused("True"):
+        table_from_json({"points": [True, "a"], "dist": [[True, "a", "1"]]})
+    for bad in (True, 1.0):
+        with refused(repr(bad).replace(".", r"\.")):
+            table_from_json({"points": [1, "a"], "dist": [[bad, "a", "1"]]})
+        with refused(repr(bad).replace(".", r"\.")):
+            table_from_json({"points": [1, "a"], "dist": [["a", bad, "1"]]}, require_metric=True)
+    with refused(r"1\.0"):
+        covers_from_json({"levels": [[[1.0, "a"]]]})
+    with refused("True"):
+        covers_from_json({"levels": [[[True, 1, "a"]]]})
+    # library callers keep any hashable id
+    table = DistanceTable([(0, 1), 2.5], {((0, 1), 2.5): 1})
+    assert table.d(2.5, (0, 1)) == 1
+    assert CoverSequence([[[1.5, "a"]], [[1.5], ["a"]]]).ground == {1.5, "a"}
 
 
 def test_unhashable_ids_are_named():
