@@ -49,7 +49,7 @@ from .baire import (
 from .cf import convergents, evaluate, expand_rational, expand_surd, format_cf, parse_cf
 from .cover import locate, member_of, verify_cover_properties
 from .homeo import check_ball_image, phi_forward, phi_inverse
-from .rational import format_rational, parse_rational
+from .rational import check_digit_budget, format_rational, parse_rational
 from .surd import format_surd, parse_surd
 from .ultra import (
     _fmt_set,
@@ -109,10 +109,14 @@ def _capped(n: int, what: str) -> int:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: invalid JSON: {e}") from None
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: invalid JSON: {e}") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        check_digit_budget(text, f"{path}: JSON integer")
+        raise
 
 
 def _check_lines(report: dict) -> list[str]:
@@ -282,12 +286,16 @@ def _text_homeo_ball(p: dict) -> str:
 # --- ultra ---
 
 
+def _space_covers(path: str, depth: int):
+    """The cover sequence of a space file: its metric table, the capped depth, the peel."""
+    space = table_from_json(_load_json(path), require_metric=True)
+    return build_cover_sequence(space, _capped(depth, "depth"))
+
+
 def _cmd_ultra_build(args) -> dict:
-    space = table_from_json(_load_json(args.space), require_metric=True)
-    depth = _capped(args.depth, "depth")
-    seq = build_cover_sequence(space, depth)
+    seq = _space_covers(args.space, args.depth)
     table = ultrametric_from_covers(seq, seq.ground)
-    return {"depth": depth, "covers": seq.as_json()["levels"], "table": table.as_json()}
+    return {"depth": seq.depth, "covers": seq.as_json()["levels"], "table": table.as_json()}
 
 
 def _text_ultra_build(p: dict) -> str:
@@ -310,15 +318,13 @@ def _text_ultra_verify(p: dict) -> str:
 def _cmd_ultra_base_eq(args) -> dict:
     if args.covers:
         seq = covers_from_json(_load_json(args.source))
-        depth = _capped(seq.depth, "covers depth")
+        _capped(seq.depth, "covers depth")
+    elif args.depth is None:
+        raise UsageError("--depth is required when reading a space file")
     else:
-        if args.depth is None:
-            raise UsageError("--depth is required when reading a space file")
-        space = table_from_json(_load_json(args.source), require_metric=True)
-        depth = _capped(args.depth, "depth")
-        seq = build_cover_sequence(space, depth)
+        seq = _space_covers(args.source, args.depth)
     rep = verify_base_equality(seq)
-    return {"status": _status(rep.all_passed), **rep.as_json(), "depth": depth}
+    return {"status": _status(rep.all_passed), **rep.as_json(), "depth": seq.depth}
 
 
 def _text_ultra_base_eq(p: dict) -> str:
@@ -327,11 +333,9 @@ def _text_ultra_base_eq(p: dict) -> str:
 
 
 def _cmd_embed(args) -> dict:
-    space = table_from_json(_load_json(args.space), require_metric=True)
-    depth = _capped(args.depth, "depth")
-    seq = build_cover_sequence(space, depth)
+    seq = _space_covers(args.space, args.depth)
     emb = sierpinski_embed(seq)
-    return {"depth": depth, "embedding": [[x, list(p.entries)] for x, p in emb.items()]}
+    return {"depth": seq.depth, "embedding": [[x, list(p.entries)] for x, p in emb.items()]}
 
 
 def _text_embed(p: dict) -> str:

@@ -10,10 +10,10 @@ the integer-sequence space (``sierpinski_embed``).
 Everything from the input to the verdict is an int.  ``table_from_json`` reads
 each ``"p/q"`` as a reduced (numerator, denominator) pair, and a table is one
 integer matrix over the lcm of its denominators, so d < r exactly when
-d * scale < ceil(r * scale).  A point set is a mask with bit k for
-``points[k]``, whose lowest set bit is its smallest member.  ``Fraction``s and
-``frozenset``s are made only for answers, messages, ``CoverSequence.levels``
-and the JSON payloads.  JSON inputs past ``MAX_POINTS`` points, or
+d * scale < ceil(r * scale).  A ball or a peeled piece is a mask with bit k for
+``points[k]``, whose lowest set bit is its smallest member; a cover sequence has
+frozenset blocks and one digit list per point.  ``Fraction``s are made only for
+answers, messages and the JSON payloads.  JSON inputs past ``MAX_POINTS`` points, or
 ``MAX_MATRIX_BITS`` bits of matrix (points squared times the bits of the
 scale, which can grow without bound), are refused before any table is built.
 """
@@ -24,9 +24,9 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, compress, repeat
+from itertools import accumulate, chain, combinations, compress, count, islice, pairwise, repeat
 from math import lcm
-from operator import add, eq, or_
+from operator import add, eq, ne, or_
 
 from .baire import BairePrefix
 from .rational import parse_rational, rational_pairs
@@ -77,9 +77,10 @@ class DistanceTable:
 
     ``rows[i][j] / scale`` is the distance from ``points[i]`` to ``points[j]``,
     with ``scale`` the lcm of the denominators; ``index`` maps points to positions.
-    ``distances`` maps pairs, or is (pair, distance) items, to anything ``Fraction``
-    reads or to reduced (numerator, denominator) pairs; a pair may repeat, in
-    either order, only with the same distance.
+    ``distances`` maps pairs, or is (pair, distance) items, to what ``Fraction`` reads.
+    An int pair over a positive denominator is taken as is, so it must be reduced; any
+    other tuple is ``Fraction(*tuple)``.  A pair may repeat, in either order, only with
+    the same distance.
     """
 
     def __init__(self, points: Iterable, distances):
@@ -103,9 +104,9 @@ class DistanceTable:
                 raise _unhashable(key) from None
             if i == j:
                 raise ValueError(f"diagonal entry for {x!r}; d(x, x) = 0 is implicit")
-            if v.__class__ is not tuple:
-                v = v if isinstance(v, (int, Fraction)) else Fraction(v)
-                v = v.numerator, v.denominator
+            if (v.__class__ is not tuple or len(v) != 2 or v[0].__class__ is not int
+                    or v[1].__class__ is not int or v[1] <= 0):
+                v = (Fraction(*v) if isinstance(v, tuple) else Fraction(v)).as_integer_ratio()
             if v[0] <= 0:
                 raise ValueError(
                     f"distance for ({x!r}, {y!r}) must be positive, got {Fraction(*v)}")
@@ -221,8 +222,10 @@ def disjointify(sets: Sequence[Iterable], ground: Iterable) -> list[frozenset]:
 
 
 class CoverSequence:
-    """Refining sequence of partitions of a finite ground set, blocks ordered by
-    smallest member, which fixes each point's digits in ``sierpinski_embed``."""
+    """Refining sequence of partitions of a finite ground set: ``points`` in
+    ``DistanceTable``'s id order, blocks ordered by smallest member.  Validation
+    records each point's digits, its block index at every level; two points' first
+    differing digit is the level that separates them, which the ultrametric reads."""
 
     def __init__(self, levels: Sequence[Sequence[Iterable]]):
         if not levels:
@@ -241,30 +244,34 @@ class CoverSequence:
             blocks.sort(key=lambda b: min(map(key.__getitem__, b)))
         self.levels: tuple[tuple[frozenset, ...], ...] = tuple(map(tuple, canon))
         self.ground: frozenset = frozenset().union(*self.levels[0])
-        self._index: list[dict] = []
+        self.points: tuple = tuple(sorted(self.ground, key=key.__getitem__))
+        columns: list[list[int]] = []  # per level, each point's block index
         for li, blocks in enumerate(self.levels):
-            # each id's first block; an id in a later block too is an overlap
-            where = {x: bi for bi, b in reversed(list(enumerate(blocks))) for x in b}
+            where = {x: bi for bi, b in enumerate(blocks) for x in b}
             if len(where) != sum(map(len, blocks)):
-                x = next(x for bi, b in enumerate(blocks) for x in b if where[x] != bi)
-                raise ValueError(f"level {li}: blocks overlap at {x!r}")
+                earlier = accumulate(blocks, or_, initial=frozenset())
+                shared = next(b & s for b, s in zip(blocks, earlier) if b & s)
+                raise ValueError(f"level {li}: blocks overlap at {min(shared, key=_id_key)!r}")
             if where.keys() != self.ground:
                 raise ValueError(f"level {li} does not cover the ground set")
-            for b in blocks if li else ():
-                if len(set(map(self._index[-1].__getitem__, b))) != 1:
-                    raise ValueError(f"level {li}: block {_fmt_set(b)} not inside a single "
-                                     f"level-{li - 1} block")
-            self._index.append(where)
+            columns.append(list(map(where.__getitem__, self.points)))
+            # each block lies in a single parent exactly when it makes one (block, parent) pair
+            links = set(zip(columns[-1], columns[-2])) if li else ()
+            if len(links) > len(blocks):
+                bi = next(a for (a, _), (b, _) in pairwise(sorted(links)) if a == b)
+                raise ValueError(f"level {li}: block {_fmt_set(blocks[bi])} not inside a single "
+                                 f"level-{li - 1} block")
+        self._digits: dict = dict(zip(self.points, zip(*columns)))
 
     @property
     def depth(self) -> int:
         return len(self.levels)
 
     def block_index_of(self, level: int, x) -> int:
-        return self._index[level][x]
+        return self._digits[x][level]
 
     def block_of(self, level: int, x) -> frozenset:
-        return self.levels[level][self._index[level][x]]
+        return self.levels[level][self._digits[x][level]]
 
     def as_json(self) -> dict:
         return {"levels": [[sorted(b, key=_id_key) for b in blocks] for blocks in self.levels]}
@@ -319,31 +326,17 @@ def build_cover_sequence(space: FiniteSpace, depth: int) -> CoverSequence:
 
 
 def ultrametric_from_covers(seq: CoverSequence, ground: Iterable) -> DistanceTable:
-    """Distance 1/(k+1) where k is the first level separating the pair, written
-    once: level k splits a block off the rest of its level-(k-1) block."""
-    ground = frozenset(ground)
-    if ground != seq.ground:
+    """Distance 1/(k+1) where k is the first level separating the pair: the first
+    index at which the two points' digits differ, their sequence-space distance."""
+    if frozenset(ground) != seq.ground:
         raise ValueError("ground set does not match the cover sequence")
-    pts = sorted(ground, key=_id_key)
-    n, pos = len(pts), {x: i for i, x in enumerate(pts)}
-    # each pair's level, and each point's block at the previous level as a mask
-    level, parent = [[None] * n for _ in range(n)], [(1 << n) - 1] * n
-    for k, blocks in enumerate(seq.levels):
-        for members in ([pos[x] for x in b] for b in blocks):
-            mask = sum(1 << i for i in members)
-            split = _select(range(n), parent[members[0]] & ~mask)
-            for i in members:
-                parent[i] = mask
-                for j in split:
-                    level[i][j] = k
-    for i, row in enumerate(level):
-        if None in row[i + 1 :]:
-            x, y = pts[i], pts[row.index(None, i + 1)]
-            raise UnseparatedPairError(
-                (x, y), f"points {x!r} and {y!r} are never separated within depth {seq.depth}")
-    one_over = [(1, k + 1) for k in range(seq.depth)]
-    ks = (k for i, row in enumerate(level) for k in row[i + 1 :])
-    return DistanceTable(pts, zip(combinations(pts, 2), map(one_over.__getitem__, ks)))
+    pts, pairs = seq.points, combinations(seq._digits.values(), 2)
+    ks = [next(compress(count(), map(ne, a, b)), None) for a, b in pairs]
+    if None in ks:
+        x, y = next(islice(combinations(pts, 2), ks.index(None), None))
+        raise UnseparatedPairError(
+            (x, y), f"points {x!r} and {y!r} are never separated within depth {seq.depth}")
+    return DistanceTable(pts, zip(combinations(pts, 2), ((1, k + 1) for k in ks)))
 
 
 @dataclass(frozen=True)
@@ -543,9 +536,6 @@ def verify_base_equality(seq: CoverSequence) -> BaseEqualityReport:
 
 
 def sierpinski_embed(seq: CoverSequence) -> dict:
-    """Each point's stream of block indices, one digit per level: two points share
-    digit i exactly when level i keeps them together, so the embedding is isometric."""
-    return {
-        x: BairePrefix(tuple(seq.block_index_of(level, x) for level in range(seq.depth)))
-        for x in sorted(seq.ground, key=_id_key)
-    }
+    """Each point's digits, its block index at every level: two points share digit i
+    exactly when level i keeps them together, so the embedding is isometric."""
+    return {x: BairePrefix(digits) for x, digits in seq._digits.items()}

@@ -19,9 +19,10 @@ The two mirrored psi bodies are the reference for the one recoding, and the
 ball check with a point and a ``phi_forward`` per sample the reference for
 the one that pushes its samples onto the prefix's fold.
 The finite-space lab keeps its ``Fraction`` and ``frozenset`` versions here as
-the references for the integer pairs and bitmasks that replaced them: the
-per-entry table loader, the frozenset ball peel, the pair-by-pair separation
-levels, the frozenset ball sweep and the frozenset ball system.
+the references for the integer pairs, bitmasks and digit lists that replaced
+them: the per-entry table loader, the frozenset ball peel, the pair-by-pair
+separation levels read from the blocks, the frozenset ball sweep and the
+frozenset ball system.
 """
 
 import re
@@ -458,8 +459,9 @@ def cover_sequence_oracle(space, depth: int) -> tuple:
 
 
 def separation_oracle(seq, ground) -> dict:
-    """{(x, y): 1/(k+1)} over ordered pairs x < y, k the first level whose
-    block indices differ, or the error for the first pair never separated."""
+    """{(x, y): 1/(k+1)} over ordered pairs x < y, k the first level with no
+    block holding both, or the error for the first pair never separated.
+    Membership is read from ``seq.levels``, never from the digit lists."""
     ground = frozenset(ground)
     if ground != seq.ground:
         raise ValueError("ground set does not match the cover sequence")
@@ -467,8 +469,8 @@ def separation_oracle(seq, ground) -> dict:
     out = {}
     for i, x in enumerate(pts):
         for y in pts[i + 1 :]:
-            k = next((level for level in range(seq.depth)
-                      if seq.block_index_of(level, x) != seq.block_index_of(level, y)), None)
+            k = next((level for level, blocks in enumerate(seq.levels)
+                      if not any(x in b and y in b for b in blocks)), None)
             if k is None:
                 raise UnseparatedPairError(
                     (x, y), f"points {x!r} and {y!r} are never separated within depth {seq.depth}")

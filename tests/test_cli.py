@@ -422,6 +422,24 @@ def test_one_shot_process_matches_goldens():
     assert proc.returncode == 2 and proc.stderr.startswith("usage error:")
 
 
+def test_no_output_depends_on_the_hash_seed(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "BAIRECF_MAX_DEPTH"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    overlap = tmp_path / "overlap.json"
+    overlap.write_text(json.dumps({"levels": [[["a", "b", "c", "d"], ["c", "d"]]]}))
+    errs = set()
+    for seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = seed
+        goldens = subprocess.run([sys.executable, str(SRC.parent / "tools" / "check_goldens.py")],
+                                 capture_output=True, encoding="utf-8", env=env, timeout=120)
+        assert goldens.returncode == 0, goldens.stdout
+        proc = subprocess.run([sys.executable, "-m", "bairecf", "ultra", "base-eq", str(overlap),
+                               "--covers"], capture_output=True, encoding="utf-8", env=env,
+                              timeout=60)
+        errs.add((proc.returncode, proc.stderr))
+    assert errs == {(1, "error: level 0: blocks overlap at 'c'\n")}
+
+
 def test_a_rendering_error_exits_one_in_both_modes():
     # the first digit of this surd has about 6450 digits: too long to print
     nines = "9" * 4300
@@ -574,9 +592,22 @@ def test_surd_digits_and_psi_entries_past_the_digit_budget_exit_one():
             assert shown in res.out, argv
 
 
-def test_input_integers_past_the_digit_budget_exit_one():
+def test_input_integers_past_the_digit_budget_exit_one(tmp_path):
     ones = "1" * 4301
+    files = {  # a bare JSON integer in points, as a distance and in a covers block
+        "id": '{"points": [%s, "a"], "dist": [[%s, "a", "1"]]}',
+        "dist": '{"points": ["a", "b"], "dist": [["a", "b", %s]]}',
+        "covers": '{"levels": [[[%s, "a"]], [[%s], ["a"]]]}',
+    }
+    argvs = {}
+    for name, text in files.items():
+        for digits in (ones, ones[1:]):
+            path = tmp_path / f"{name}{len(digits)}.json"
+            path.write_text(text.replace("%s", digits))
+            argvs[path] = ["ultra", "verify", str(path)] if name != "covers" else [
+                "ultra", "base-eq", str(path), "--covers"]
     cases = [
+        *((argv, f"{path}: JSON integer") for path, argv in argvs.items() if "4301" in path.name),
         (["cf", "eval", f"[{ones}]"], "word digit"),
         (["cf", "eval", f"[1; 2, {ones}]"], "word digit"),
         (["baire", "dist", f"({ones})", "(1)"], "point entry"),
@@ -593,6 +624,7 @@ def test_input_integers_past_the_digit_budget_exit_one():
     ones = ones[1:]
     for argv in (["cf", "eval", f"[{ones}]"], ["baire", "dist", f"({ones})", "(1)", "--bound", "1"],
                  ["surd", "expand", f"({ones}+1*sqrt(2))/1", "--depth", "0"],
-                 ["homeo", "fwd", f"(1)~({ones})", "--depth", "0"]):
+                 ["homeo", "fwd", f"(1)~({ones})", "--depth", "0"],
+                 *(argv for path, argv in argvs.items() if "4300" in path.name)):
         res = run(argv)
         assert (res.exit_code, res.err) == (0, ""), argv

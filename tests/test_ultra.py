@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -162,6 +163,11 @@ def test_cover_sequence_canonical_order_and_lookup():
     assert seq.block_index_of(0, "b") == 0
     assert seq.block_index_of(1, "c") == 2
     assert seq.block_of(0, "c") == frozenset({"c"})
+    # the ground set in the table's id order, for mixed int and str ids
+    ids = [10, "b", 2, "a", "10", -1]
+    seq = CoverSequence([[ids], [[x] for x in ids]])
+    table = DistanceTable(ids, dict.fromkeys(combinations(ids, 2), 1))
+    assert seq.points == table.points == (-1, 2, 10, "10", "a", "b")
 
 
 def test_cover_sequence_rejects_bad_levels():
@@ -175,9 +181,11 @@ def test_cover_sequence_rejects_bad_levels():
         CoverSequence([[{"a", "b"}], [{"a"}]])
     with pytest.raises(ValueError, match="not inside a single"):
         CoverSequence([[{"a"}, {"b"}], [{"a", "b"}]])
-    # the overlap named is the first member of a later block seen in an earlier one
+    # the overlap named is the smallest id the first block meeting an earlier one shares
     with pytest.raises(ValueError, match="^level 0: blocks overlap at 2$"):
         CoverSequence([[{2, 3}, {0, 3}, {1, 2}]])
+    with pytest.raises(ValueError, match="^level 0: blocks overlap at 'c'$"):
+        CoverSequence([["abcd", "dc"]])
 
 
 def test_build_cover_sequence_three_point_example():
@@ -455,11 +463,15 @@ def test_sierpinski_embed_is_isometric():
         assert len({emb[x].entries for x in pts}) == len(pts)
 
 
-def test_table_json_round_trip():
+def test_table_json_round_trip(monkeypatch):
     again = table_from_json(THREE.as_json())
     assert again.same_table(THREE)
     metric = table_from_json(THREE.as_json(), require_metric=True)
     assert isinstance(metric, FiniteSpace)
+    # the loader's reduced integer pairs are taken as they are, with no Fraction
+    obj = THREE.as_json()
+    monkeypatch.setattr(ultra, "Fraction", None)
+    assert table_from_json(obj, require_metric=True).same_table(THREE)
 
 
 def test_table_from_json_rejects_bad_shapes():
@@ -632,11 +644,11 @@ def test_json_budgets_refuse_before_any_table(monkeypatch):
 # --- integer pairs and bitmasks against the Fraction and frozenset oracles ---
 
 
-def _outcome(fn, *args):
-    """What fn returns, or the type and text of the ValueError it raises."""
+def _outcome(fn, *args, errors=ValueError):
+    """What fn returns, or the type and text of the error it raises."""
     try:
         return fn(*args)
-    except ValueError as e:
+    except errors as e:
         return type(e), str(e), getattr(e, "pair", None)
 
 
@@ -720,20 +732,32 @@ def test_table_from_json_matches_fraction_oracle(monkeypatch):
 
 
 def test_distance_table_values_match_fraction_oracle():
-    # a Fraction, an int, a float, a decimal string or a reduced pair per entry
+    # a Fraction, an int, a float, a decimal string, a reduced pair, or a pair that
+    # Fraction(*pair) reads: negated, or with a Fraction or a bool in it
     rng = random.Random(2468)
     for _ in range(300):
         ids = _mixed_ids(rng, rng.randint(0, 10))
         items = []
         for (x, y), v in _table_kind(rng, "coprime", ids).items():
-            form = rng.randrange(4)
+            form = rng.randrange(7)
             value = (v.numerator, v.denominator) if form == 0 else v
             if form == 2 and v.denominator == 1:
                 value = v.numerator
             if form == 3 and v == Fraction(float(v)):
                 value = float(v)
+            if form == 4:
+                value = (-v.numerator, -v.denominator)
+            if form == 5:
+                value = (Fraction(v.numerator, 2), Fraction(v.denominator, 2))
+            if form == 6 and v.numerator == 1:
+                value = (True, v.denominator)
             items.append(((x, y), value))
         assert _as_triple(DistanceTable(ids, items)) == table_oracle(ids, items)
+    # pairs no table holds: the same error as the oracle, never a table
+    for value in [(1, -2), (-1, 2), (1, 0), (1.5, 2), (1, 2, 3)]:
+        got = _outcome(lambda: DistanceTable("ab", {("a", "b"): value}), errors=Exception)
+        assert got == _outcome(table_oracle, "ab", [(("a", "b"), value)], errors=Exception)
+        assert isinstance(got, tuple), value
 
 
 def test_cover_sequence_matches_peel_oracle():
@@ -760,6 +784,8 @@ def test_separation_levels_match_pair_oracle():
         names = dict(zip(range(n), _mixed_ids(rng, n)))
         levels = [[[names[x] for x in b] for b in blocks] for blocks in full.levels]
         seq = CoverSequence(levels[: rng.randint(1, len(levels))])
+        ids = list(names.values())
+        assert seq.points == DistanceTable(ids, dict.fromkeys(combinations(ids, 2), 1)).points
         got = _outcome(lambda: ultrametric_from_covers(seq, seq.ground))
         want = _outcome(separation_oracle, seq, seq.ground)
         if isinstance(want, tuple):
