@@ -6,10 +6,11 @@ against a rational is decided with integer square-root bounds at growing
 precision, and finite words are valued by folding them back to front in
 ``Fraction`` arithmetic, never through the convergent recurrence.  Finite
 distance tables are read only through ``points`` and ``d``; balls, radii and
-the ball phenomena are rebuilt by brute force.  The one exception is
+the ball phenomena are rebuilt by brute force.  The exceptions are
 ``cover_levels_oracle``, the level-list cover verifier the streamed walk
-replaced: it reads states from the fold the walk also uses, so the two
-verifiers can be compared on the same, possibly corrupted, states.  The point
+replaced, and ``cover_walk_oracle``, that walk with a stack entry and pair
+comparisons per word: both read states from the fold the walk also uses, so
+the verifiers can be compared on the same, possibly corrupted, states.  The point
 and word front end keeps its per-entry loops here (token parsing, point and
 digit validation, ``value_at``-based first difference and prefix), as the
 reference for the builtin scans that replaced them, and the surd digit loop
@@ -33,7 +34,8 @@ from math import gcd, isqrt
 
 import bairecf.cover as cover
 from bairecf import Baire2Prefix, BairePrefix, InsufficientPrecisionError, QuadraticSurd
-from bairecf.cover import CoverMember, CoverReport, IntervalQ, _ends
+from bairecf.cf import _EMPTY
+from bairecf.cover import _CHECKS, CoverMember, CoverReport, IntervalQ, _ends
 from bairecf.homeo import BallImageCheck, phi_forward
 from bairecf.rational import parse_rational
 from bairecf.report import PropertyCheck
@@ -225,6 +227,86 @@ def cover_levels_oracle(max_level, a0_range, digit_max) -> CoverReport:
         max_length_by_level=max_by_level,
         words_checked=sum(map(len, levels)),
     )
+
+
+def _cmp(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """A number with the sign of a - b, for (numerator, positive denominator) pairs."""
+    return a[0] * b[1] - b[0] * a[1]
+
+
+def _show(word: tuple[int, ...], lo: tuple[int, int], hi: tuple[int, int]) -> str:
+    return f"{word} ({Fraction(*lo)}, {Fraction(*hi)})"
+
+
+def cover_walk_oracle(max_level, a0_range, digit_max) -> CoverReport:
+    """The streamed cover walk with one stack entry, one ``next()``, one
+    ``_ends`` and pair comparisons per word, as it stood before its checks
+    were inlined.  It reads states from ``bairecf.cover._fold`` at call time,
+    so it sees the same corrupted states as the verifier, and must agree with
+    it on the whole report, counterexamples included.
+    """
+    a0_lo, a0_hi = a0_range
+    if max_level < 0:
+        raise ValueError(f"max_level must be >= 0, got {max_level}")
+    if a0_lo > a0_hi:
+        raise ValueError(f"empty a0 range: [{a0_lo}, {a0_hi}]")
+    if digit_max < 1:
+        raise ValueError(f"digit_max must be >= 1, got {digit_max}")
+
+    orders = (range(digit_max, 0, -1), range(1, digit_max + 1))
+    last = [None] * (max_level + 1)  # per level, the member met last
+    longest = [(0, 1)] * (max_level + 1)  # per level, the largest length
+    fails: dict[str, tuple] = {}  # check -> (ordering key, counterexample)
+    words = 0
+
+    def fail(check, key, counterexample):
+        if check not in fails or key < fails[check][0]:
+            fails[check] = (key, counterexample)
+
+    # Entries are (member, state, digits left to push); the root is the empty word.
+    stack = [(((), None, None), _EMPTY, iter(range(a0_lo, a0_hi + 1)))]
+    while stack:
+        parent, state, todo = stack[-1]
+        k = next(todo, None)
+        if k is None:
+            stack.pop()
+            continue
+        level, word, state = len(stack) - 1, parent[0] + (k,), cover._fold((k,), state)
+        lo, hi = _ends(state)
+        member, prev, words = (word, lo, hi), last[level], words + 1
+        last[level] = member
+        if prev is not None and _cmp(prev[2], lo) > 0:
+            relation = "overlaps" if _cmp(hi, prev[1]) > 0 else "is walked before but lies above"
+            fail("disjoint", level, f"level {level}: {_show(*prev)} {relation} {_show(*member)}")
+        if level >= 1 and (_cmp(parent[1], lo) > 0 or _cmp(hi, parent[2]) > 0):
+            fail("refinement", (level, word),
+                 f"{_show(*member)} not inside parent {_show(*parent)}")
+        # Closures poke out one level up through the shared endpoint of the k=1
+        # child, but sit strictly inside the open interval two levels up.
+        grand = stack[-2][0] if level >= 2 else None
+        if grand and (_cmp(grand[1], lo) >= 0 or _cmp(hi, grand[2]) >= 0):
+            fail("closure_refinement", (level, word),
+                 f"closure of {_show(*member)} not inside {_show(*grand)}")
+        # Lengths are exactly 1 at level 0; at level 1, 1/(k(k+1)) tops out at
+        # 1/2, attained at k = 1; from level 2 on the strict bound 1/(level+1) holds.
+        p, q, p0, q0 = state
+        length = (abs(p * q0 - p0 * q), q * (q + q0))
+        if _cmp(length, longest[level]) > 0:
+            longest[level] = length
+        excess = length[0] * (level + 1) - length[1]  # sign of length - 1/(level+1)
+        if (excess != 0, excess > 0, excess >= 0)[min(level, 2)]:
+            relation = ("!= 1", "> 1/2", f">= 1/{level + 1}")[min(level, 2)]
+            fail("mesh", (level, word),
+                 f"level-{level} member {word} has length {Fraction(*length)} {relation}")
+        if level < max_level:
+            stack.append((member, state, iter(orders[level % 2])))
+
+    checks = (PropertyCheck.fail(fails[n][1]) if n in fails else PropertyCheck.ok()
+              for n in _CHECKS)
+    # A mesh failure ends the reported maxima at its level.
+    levels = fails["mesh"][0][0] + 1 if "mesh" in fails else max_level + 1
+    maxima = {level: Fraction(*longest[level]) for level in range(levels)}
+    return CoverReport(*checks, maxima, words)
 
 
 NON_SQUARES = tuple(n for n in range(2, 80) if isqrt(n) ** 2 != n)

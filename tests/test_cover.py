@@ -18,7 +18,13 @@ from bairecf import (
 from bairecf.cf import _fold
 from bairecf.cli import run
 
-from _oracles import NAMED_SURDS, cover_levels_oracle, cover_slice_oracle, fold_value
+from _oracles import (
+    NAMED_SURDS,
+    cover_levels_oracle,
+    cover_slice_oracle,
+    cover_walk_oracle,
+    fold_value,
+)
 
 
 def test_interval_examples():
@@ -365,6 +371,53 @@ def test_cover_random_faults_match_levels_oracle(monkeypatch):
         else:
             assert report.refinement == oracle.refinement, (shape, faults)
         assert report.disjoint.passed <= oracle.disjoint.passed, (shape, faults)
+
+
+def _ends_pool(shape):
+    """Both ends of every member of a small slice, as (numerator, denominator) pairs."""
+    max_level, (lo, hi), digit_max = shape
+    pool = []
+    for level in range(max_level + 1):
+        for rest in itertools.product(range(1, digit_max + 1), repeat=level):
+            for a0 in range(lo, hi + 1):
+                p, q, p0, q0 = _fold((a0, *rest))
+                pool += [(p, q), (p + p0, q + q0)]
+    return pool
+
+
+def test_verify_cover_properties_matches_walk_oracle(monkeypatch):
+    """The whole report, counterexamples included, equals the per-word walk's
+    on random slices with up to three corrupted states.  Half the faults are
+    built from the slice's own endpoints, so shared ends and exact ties with
+    neighbours, parents and grandparents occur."""
+    rng = random.Random(161803)
+    shapes = _shapes(rng, 150, 400) + [(0, (2, 2), 1), (0, (-3, 1), 4), (3, (0, 0), 1),
+                                       (4, (-1, -1), 1), (2, (1, 1), 5)]
+    for shape in shapes:
+        max_level, (lo, hi), digit_max = shape
+        words = [
+            (a0, *rest)
+            for level in range(max_level + 1)
+            for a0 in range(lo, hi + 1)
+            for rest in itertools.product(range(1, digit_max + 1), repeat=level)
+        ]
+        pool = _ends_pool(shape)
+        faults = {}
+        for word in rng.sample(words, min(len(words), rng.randint(0, 3))):
+            value, bumped = rng.choice(pool), rng.choice(pool)
+            from_pool = value[0] * bumped[1] != bumped[0] * value[1] and rng.random() < 0.5
+            faults[word] = _state(value, bumped) if from_pool else _random_state(rng)
+        _corrupt(monkeypatch, faults)
+        assert verify_cover_properties(*shape) == cover_walk_oracle(*shape), (shape, faults)
+
+
+def test_verify_cover_properties_bench_shapes_match_slice_oracle():
+    for max_level, heads, digit_max in ((8, (0, 0), 2), (4, (-2, 2), 4), (2, (-3, 1), 24)):
+        report = verify_cover_properties(max_level, heads, digit_max)
+        assert report.all_passed
+        words, max_length = cover_slice_oracle(max_level, heads, digit_max)
+        assert report.words_checked == words
+        assert dict(report.max_length_by_level) == max_length
 
 
 def test_verify_cover_properties_memory_is_flat():
