@@ -15,7 +15,9 @@ A slice is verified by one depth-first walk in Stern-Brocot order (Graham,
 Knuth & Patashnik, *Concrete Mathematics*, 4.5): digits taken downward below
 even levels and upward below odd ones meet every level in ascending order.
 The walk keeps only the current word's ancestors and the last member met at
-each level, so its memory is O(max_level), not O(words).
+each level, so its memory is O(max_level), not O(words).  A word costs one
+fold onto its parent's state and integer cross-multiplications against bounds
+held in locals; each bottom parent's children are checked in one loop.
 """
 
 from __future__ import annotations
@@ -149,13 +151,8 @@ class CoverReport:
         }
 
 
-def _cmp(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """A number with the sign of a - b, for (numerator, positive denominator) pairs."""
-    return a[0] * b[1] - b[0] * a[1]
-
-
-def _show(word: tuple[int, ...], lo: tuple[int, int], hi: tuple[int, int]) -> str:
-    return f"{word} ({Fraction(*lo)}, {Fraction(*hi)})"
+def _show(word: tuple[int, ...], lo: int, lo_q: int, hi: int, hi_q: int) -> str:
+    return f"{word} ({Fraction(lo, lo_q)}, {Fraction(hi, hi_q)})"
 
 
 def verify_cover_properties(
@@ -179,8 +176,11 @@ def verify_cover_properties(
     if digit_max < 1:
         raise ValueError(f"digit_max must be >= 1, got {digit_max}")
 
+    # Ends are (numerator, positive denominator) pairs compared by
+    # cross-multiplication, so (-1, 0) and (1, 0) act as -inf and +inf.
     orders = (range(digit_max, 0, -1), range(1, digit_max + 1))
-    last = [None] * (max_level + 1)  # per level, the member met last
+    # Per level, the member met last as (parent word, last digit, lo, lo_q, hi, hi_q).
+    last = [((), None, -1, 0, -1, 0)] * (max_level + 1)
     longest = [(0, 1)] * (max_level + 1)  # per level, the largest length
     fails: dict[str, tuple] = {}  # check -> (ordering key, counterexample)
     words = 0
@@ -189,43 +189,58 @@ def verify_cover_properties(
         if check not in fails or key < fails[check][0]:
             fails[check] = (key, counterexample)
 
-    # Entries are (member, state, digits left to push); the root is the empty word.
-    stack = [(((), None, None), _EMPTY, iter(range(a0_lo, a0_hi + 1)))]
+    # A frame: level, parent word, parent's and grandparent's lo, lo_q, hi, hi_q,
+    # parent state, digits left.  Its loop breaks to descend and resumes on return.
+    stack = [(0, (), -1, 0, 1, 0, -1, 0, 1, 0, _EMPTY, iter(range(a0_lo, a0_hi + 1)))]
     while stack:
-        parent, state, todo = stack[-1]
-        k = next(todo, None)
-        if k is None:
-            stack.pop()
-            continue
-        level, word, state = len(stack) - 1, parent[0] + (k,), _fold((k,), state)
-        lo, hi = _ends(state)
-        member, prev, words = (word, lo, hi), last[level], words + 1
-        last[level] = member
-        if prev is not None and _cmp(prev[2], lo) > 0:
-            relation = "overlaps" if _cmp(hi, prev[1]) > 0 else "is walked before but lies above"
-            fail("disjoint", level, f"level {level}: {_show(*prev)} {relation} {_show(*member)}")
-        if level >= 1 and (_cmp(parent[1], lo) > 0 or _cmp(hi, parent[2]) > 0):
-            fail("refinement", (level, word),
-                 f"{_show(*member)} not inside parent {_show(*parent)}")
-        # Closures poke out one level up through the shared endpoint of the k=1
-        # child, but sit strictly inside the open interval two levels up.
-        grand = stack[-2][0] if level >= 2 else None
-        if grand and (_cmp(grand[1], lo) >= 0 or _cmp(hi, grand[2]) >= 0):
-            fail("closure_refinement", (level, word),
-                 f"closure of {_show(*member)} not inside {_show(*grand)}")
+        level, pword, plo, plo_q, phi, phi_q, glo, glo_q, ghi, ghi_q, pstate, todo = stack[-1]
+        xword, xk, xlo, xlo_q, xhi, xhi_q = last[level]
+        top, top_q = longest[level]
         # Lengths are exactly 1 at level 0; at level 1, 1/(k(k+1)) tops out at
-        # 1/2, attained at k = 1; from level 2 on the strict bound 1/(level+1) holds.
-        p, q, p0, q0 = state
-        length = (abs(p * q0 - p0 * q), q * (q + q0))
-        if _cmp(length, longest[level]) > 0:
-            longest[level] = length
-        excess = length[0] * (level + 1) - length[1]  # sign of length - 1/(level+1)
-        if (excess != 0, excess > 0, excess >= 0)[min(level, 2)]:
-            relation = ("!= 1", "> 1/2", f">= 1/{level + 1}")[min(level, 2)]
-            fail("mesh", (level, word),
-                 f"level-{level} member {word} has length {Fraction(*length)} {relation}")
-        if level < max_level:
-            stack.append((member, state, iter(orders[level % 2])))
+        # 1/2, attained at k = 1; from level 2 on the strict bound 1/(level+1)
+        # holds.  excess = n (level + 1) - d has the sign of n/d - 1/(level+1).
+        descend, bound, cut = level < max_level, level + 1, (0, 0, -1)[min(level, 2)]
+        for k in todo:
+            p, q, p0, q0 = state = _fold((k,), pstate)
+            det = p * q0 - p0 * q
+            if det < 0:
+                lo, lo_q, hi, hi_q = p, q, p + p0, q + q0
+            else:
+                lo, lo_q, hi, hi_q, det = p + p0, q + q0, p, q, -det
+            if xhi * lo_q > lo * xhi_q:
+                relation = ("overlaps" if hi * xlo_q > xlo * hi_q
+                            else "is walked before but lies above")
+                fail("disjoint", level, f"level {level}: "
+                     f"{_show(xword + (xk,), xlo, xlo_q, xhi, xhi_q)} {relation} "
+                     f"{_show(pword + (k,), lo, lo_q, hi, hi_q)}")
+            xword, xk, xlo, xlo_q, xhi, xhi_q = pword, k, lo, lo_q, hi, hi_q
+            if plo * lo_q > lo * plo_q or hi * phi_q > phi * hi_q:
+                fail("refinement", (level, pword + (k,)),
+                     f"{_show(pword + (k,), lo, lo_q, hi, hi_q)} not inside parent "
+                     f"{_show(pword, plo, plo_q, phi, phi_q)}")
+            # A k=1 child's closure touches its parent's end but sits inside the open grandparent.
+            if glo * lo_q >= lo * glo_q or hi * ghi_q >= ghi * hi_q:
+                fail("closure_refinement", (level, pword + (k,)),
+                     f"closure of {_show(pword + (k,), lo, lo_q, hi, hi_q)} not inside "
+                     f"{_show(pword[:-1], glo, glo_q, ghi, ghi_q)}")
+            n, d = -det, lo_q * hi_q  # the length |p q' - p' q| / (q (q + q'))
+            if n * top_q > top * d:
+                top, top_q = n, d
+            excess = n * bound - d
+            if excess > cut or excess and not level:
+                relation = ("!= 1", "> 1/2", f">= 1/{bound}")[min(level, 2)]
+                fail("mesh", (level, pword + (k,)),
+                     f"level-{level} member {pword + (k,)} has length {Fraction(n, d)} {relation}")
+            if descend:
+                break
+        else:  # the frame ran out: every one of its digits was pushed
+            stack.pop()
+            words += digit_max if level else a0_hi - a0_lo + 1
+            k = None
+        last[level], longest[level] = (xword, xk, xlo, xlo_q, xhi, xhi_q), (top, top_q)
+        if k is not None:
+            stack.append((bound, pword + (k,), lo, lo_q, hi, hi_q, plo, plo_q, phi, phi_q,
+                          state, iter(orders[level % 2])))
 
     checks = (PropertyCheck.fail(fails[n][1]) if n in fails else PropertyCheck.ok()
               for n in _CHECKS)

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, combinations, compress, count, islice, pairwise, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import add, eq, ne, or_
 
 from .baire import BairePrefix
@@ -78,9 +78,9 @@ class DistanceTable:
     ``rows[i][j] / scale`` is the distance from ``points[i]`` to ``points[j]``,
     with ``scale`` the lcm of the denominators; ``index`` maps points to positions.
     ``distances`` maps pairs, or is (pair, distance) items, to what ``Fraction`` reads.
-    An int pair over a positive denominator is taken as is, so it must be reduced; any
-    other tuple is ``Fraction(*tuple)``.  A pair may repeat, in either order, only with
-    the same distance.
+    An int pair over a positive denominator is taken as is, reduced or not; any other
+    tuple is ``Fraction(*tuple)``.  A pair may repeat, in either order, only with the
+    same distance.
     """
 
     def __init__(self, points: Iterable, distances):
@@ -90,7 +90,7 @@ class DistanceTable:
         self.points: tuple = tuple(sorted(pts, key=_id_key))
         self.index: dict = {x: i for i, x in enumerate(self.points)}
         index, n = self.index, len(pts)
-        m: list[list] = [[None] * n for _ in range(n)]  # reduced pairs
+        m: list[list] = [[None] * n for _ in range(n)]  # (numerator, denominator) pairs
         for key, v in distances.items() if isinstance(distances, Mapping) else distances:
             try:
                 x, y = key
@@ -111,7 +111,7 @@ class DistanceTable:
                 raise ValueError(
                     f"distance for ({x!r}, {y!r}) must be positive, got {Fraction(*v)}")
             row = m[i]
-            if row[j] is not None and row[j] != v:  # named in table order
+            if row[j] is not None and row[j][0] * v[1] != v[0] * row[j][1]:  # named in table order
                 x, y = self.points[min(i, j)], self.points[max(i, j)]
                 raise ValueError(f"conflicting distances for ({x!r}, {y!r})")
             row[j] = m[j][i] = v
@@ -120,8 +120,12 @@ class DistanceTable:
             if None in row:
                 y = self.points[row.index(None)]
                 raise ValueError(f"missing distance for ({self.points[i]!r}, {y!r})")
-        self.scale = scale = lcm(*{den for row in m for _, den in row})
-        self.rows = [[num * (scale // den) for num, den in row] for row in m]
+        scale = lcm(*{den for row in m for _, den in row})
+        rows = [[num * (scale // den) for num, den in row] for row in m]
+        g = gcd(scale, *chain.from_iterable(rows))  # 1 unless some pair was unreduced
+        if g > 1:
+            scale, rows = scale // g, [[v // g for v in row] for row in rows]
+        self.scale, self.rows = scale, rows
 
     def _frac(self, v: int) -> Fraction:
         return Fraction(v, self.scale)

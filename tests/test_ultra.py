@@ -731,28 +731,45 @@ def test_table_from_json_matches_fraction_oracle(monkeypatch):
     assert len(outcomes) >= 14, outcomes
 
 
+def _table_value(rng, v):
+    """v as a Fraction, an int, a float, a reduced or unreduced int pair, or a pair
+    that Fraction(*pair) reads: negated, or with a Fraction or a bool in it."""
+    form = rng.randrange(8)
+    value = (v.numerator, v.denominator) if form == 0 else v
+    if form == 2 and v.denominator == 1:
+        value = v.numerator
+    if form == 3 and v == Fraction(float(v)):
+        value = float(v)
+    if form == 4:
+        value = (-v.numerator, -v.denominator)
+    if form == 5:
+        value = (Fraction(v.numerator, 2), Fraction(v.denominator, 2))
+    if form == 6 and v.numerator == 1:
+        value = (True, v.denominator)
+    if form == 7:
+        c = rng.randint(2, 6)
+        value = (v.numerator * c, v.denominator * c)
+    return value
+
+
 def test_distance_table_values_match_fraction_oracle():
-    # a Fraction, an int, a float, a decimal string, a reduced pair, or a pair that
-    # Fraction(*pair) reads: negated, or with a Fraction or a bool in it
     rng = random.Random(2468)
     for _ in range(300):
         ids = _mixed_ids(rng, rng.randint(0, 10))
         items = []
         for (x, y), v in _table_kind(rng, "coprime", ids).items():
-            form = rng.randrange(7)
-            value = (v.numerator, v.denominator) if form == 0 else v
-            if form == 2 and v.denominator == 1:
-                value = v.numerator
-            if form == 3 and v == Fraction(float(v)):
-                value = float(v)
-            if form == 4:
-                value = (-v.numerator, -v.denominator)
-            if form == 5:
-                value = (Fraction(v.numerator, 2), Fraction(v.denominator, 2))
-            if form == 6 and v.numerator == 1:
-                value = (True, v.denominator)
-            items.append(((x, y), value))
+            items.append(((x, y), _table_value(rng, v)))
+            if rng.random() < 0.3:  # the same distance again, in either order and any form
+                items.append((rng.choice([(x, y), (y, x)]), _table_value(rng, v)))
+        rng.shuffle(items)
         assert _as_triple(DistanceTable(ids, items)) == table_oracle(ids, items)
+    # unreduced int pairs: equal to their reduced form, repeated or alone
+    half = DistanceTable("ab", [(("a", "b"), (1, 2))])
+    assert DistanceTable("ab", [(("a", "b"), (2, 4)), (("b", "a"), (1, 2))]).same_table(half)
+    assert DistanceTable("ab", [(("a", "b"), (2, 4))]).same_table(half)
+    assert (half.scale, half.rows) == (2, [[0, 1], [1, 0]])
+    got = _outcome(lambda: DistanceTable("ab", [(("a", "b"), (2, 4)), (("b", "a"), (2, 3))]))
+    assert got == (ValueError, "conflicting distances for ('a', 'b')", None)
     # pairs no table holds: the same error as the oracle, never a table
     for value in [(1, -2), (-1, 2), (1, 0), (1.5, 2), (1, 2, 3)]:
         got = _outcome(lambda: DistanceTable("ab", {("a", "b"): value}), errors=Exception)
