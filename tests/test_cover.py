@@ -252,6 +252,17 @@ def _shapes(rng, count, max_words):
     return shapes
 
 
+def _words(shape):
+    """Every word of a slice."""
+    max_level, (lo, hi), digit_max = shape
+    return [
+        (a0, *rest)
+        for level in range(max_level + 1)
+        for a0 in range(lo, hi + 1)
+        for rest in itertools.product(range(1, digit_max + 1), repeat=level)
+    ]
+
+
 def test_verify_cover_properties_matches_levels_oracle():
     for shape in _shapes(random.Random(1729), 40, 1500):
         report = verify_cover_properties(*shape)
@@ -352,13 +363,7 @@ def test_cover_random_faults_match_levels_oracle(monkeypatch):
     order argument replaces the sort and the bisect."""
     rng = random.Random(31415)
     for shape in _shapes(rng, 60, 400):
-        max_level, (lo, hi), digit_max = shape
-        words = [
-            (a0, *rest)
-            for level in range(max_level + 1)
-            for a0 in range(lo, hi + 1)
-            for rest in itertools.product(range(1, digit_max + 1), repeat=level)
-        ]
+        words = _words(shape)
         faults = {w: _random_state(rng) for w in rng.sample(words, min(len(words), 2))}
         _corrupt(monkeypatch, faults)
         report, oracle = verify_cover_properties(*shape), cover_levels_oracle(*shape)
@@ -373,16 +378,10 @@ def test_cover_random_faults_match_levels_oracle(monkeypatch):
         assert report.disjoint.passed <= oracle.disjoint.passed, (shape, faults)
 
 
-def _ends_pool(shape):
-    """Both ends of every member of a small slice, as (numerator, denominator) pairs."""
-    max_level, (lo, hi), digit_max = shape
-    pool = []
-    for level in range(max_level + 1):
-        for rest in itertools.product(range(1, digit_max + 1), repeat=level):
-            for a0 in range(lo, hi + 1):
-                p, q, p0, q0 = _fold((a0, *rest))
-                pool += [(p, q), (p + p0, q + q0)]
-    return pool
+def _ends_pool(words):
+    """Both ends of every word's member, as (numerator, denominator) pairs."""
+    states = map(_fold, words)
+    return [end for p, q, p0, q0 in states for end in ((p, q), (p + p0, q + q0))]
 
 
 def test_verify_cover_properties_matches_walk_oracle(monkeypatch):
@@ -394,14 +393,8 @@ def test_verify_cover_properties_matches_walk_oracle(monkeypatch):
     shapes = _shapes(rng, 150, 400) + [(0, (2, 2), 1), (0, (-3, 1), 4), (3, (0, 0), 1),
                                        (4, (-1, -1), 1), (2, (1, 1), 5)]
     for shape in shapes:
-        max_level, (lo, hi), digit_max = shape
-        words = [
-            (a0, *rest)
-            for level in range(max_level + 1)
-            for a0 in range(lo, hi + 1)
-            for rest in itertools.product(range(1, digit_max + 1), repeat=level)
-        ]
-        pool = _ends_pool(shape)
+        words = _words(shape)
+        pool = _ends_pool(words)
         faults = {}
         for word in rng.sample(words, min(len(words), rng.randint(0, 3))):
             value, bumped = rng.choice(pool), rng.choice(pool)
