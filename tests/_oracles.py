@@ -12,8 +12,9 @@ replaced, and ``cover_walk_oracle``, that walk with a stack entry and pair
 comparisons per word: both read states from the fold the walk also uses, so
 the verifiers can be compared on the same, possibly corrupted, states.  The point
 and word front end keeps its per-entry loops here (token parsing, point and
-digit validation, ``value_at``-based first difference and prefix), as the
-reference for the builtin scans that replaced them, and the surd digit loop
+digit validation, ``value_at``-based first difference and prefix, and the
+whole-word regex of ``parse_cf``), as the reference for the builtin scans
+that replaced them, and the surd digit loop
 (``QuadraticSurd.floor`` then ``recip_frac``, one surd per digit) is the
 reference for the integer (P + sqrt(D))/Q recurrence of ``expand_surd``.
 The two mirrored psi bodies are the reference for the one recoding, and the
@@ -37,7 +38,7 @@ from bairecf import Baire2Prefix, BairePrefix, InsufficientPrecisionError, Quadr
 from bairecf.cf import _EMPTY
 from bairecf.cover import _CHECKS, CoverMember, CoverReport, IntervalQ, _ends
 from bairecf.homeo import BallImageCheck, phi_forward
-from bairecf.rational import parse_rational
+from bairecf.rational import INT_DIGITS, check_digit_budget, parse_rational
 from bairecf.report import PropertyCheck
 from bairecf.ultra import (
     BallPropertiesReport,
@@ -661,6 +662,23 @@ def parse_int_list_oracle(body: str, what: str) -> tuple:
             raise ValueError(f"bad {what} entry: {tok!r}")
         out.append(int(tok))
     return tuple(out)
+
+
+_CF_RE = re.compile(
+    rf"\s*\[\s*(-?{INT_DIGITS})\s*(?:;\s*({INT_DIGITS}(?:\s*,\s*{INT_DIGITS})*)\s*)?\]\s*$"
+)
+
+
+def parse_cf_oracle(text: str) -> tuple:
+    """A word "[a0; a1, ..., an]" read by one regex over the whole text."""
+    m = _CF_RE.match(text)
+    if m is None:
+        check_digit_budget(text, "word digit")
+        raise ValueError(f"not a continued-fraction word: {text!r}")
+    digits = [int(m.group(1))]
+    if m.group(2):
+        digits.extend(map(int, m.group(2).split(",")))
+    return as_digits_oracle(digits)
 
 
 def point_check_oracle(entries: tuple, tail, z: bool) -> None:

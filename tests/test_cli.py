@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import bairecf.cli as cli
 import bairecf.ultra as ultra
+from bairecf import convergents, evaluate, expand_rational, format_rational, parse_rational
 from bairecf.cli import main, run
 from bairecf.cover import CoverReport, IntervalQ
 from bairecf.homeo import BallImageCheck
@@ -54,6 +55,36 @@ def test_cf_negative_rational_needs_no_separator():
     # other arguments still read a leading minus as an option
     res = run(["baire", "ball", "(1)", "-1/2"])
     assert res.exit_code == 2
+
+
+def _convergents_outcome(value: str):
+    """What `cf convergents --json` should print, from the library's Fractions."""
+    try:
+        x = parse_rational(value)
+        cs = [format_rational(c) for c in convergents(expand_rational(x))]
+    except ValueError as e:
+        return 1, f"error: {e}"
+    return 0, cs
+
+
+def test_cf_convergents_payload_matches_the_library():
+    rng = random.Random(7002)
+    edge = "9" * 4300
+    values = [edge, "-" + edge, f"{edge}/{'9' * 4299}8", f"-1/{edge}", f"{edge}/2",
+              f"-{edge}/{edge[:-1]}7", "1" * 4301, f"1/1{'0' * 4300}", "0", "-1", "1/2", "-1/2"]
+    for i in range(2000):
+        length = 700 if i % 200 == 0 else rng.choice([1, 1, 2, 3, 5, 12])
+        word = [rng.randint(-30, 30)] + [rng.randint(1, 9 if length > 12 else 40)
+                                         for _ in range(length - 1)]
+        values.append(str(evaluate(word)))
+    for value in values:
+        res = run(["cf", "convergents", "--json", "--", value])
+        code, want = _convergents_outcome(value)
+        if code == 0:
+            payload = json.loads(res.out)
+            assert (res.exit_code, payload["convergents"], payload["value"]) == (0, want, want[-1])
+        else:
+            assert (res.exit_code, res.out, res.err) == (1, "", want), value[:40]
 
 
 def test_cf_expand_json_payload():

@@ -10,6 +10,7 @@ from bairecf import (
     first_difference,
     format_cf,
     format_point,
+    parse_cf,
     parse_point,
     psi_inverse,
     psi_map,
@@ -20,6 +21,7 @@ from bairecf.cf import _as_digits
 from _oracles import (
     as_digits_oracle,
     first_difference_oracle,
+    parse_cf_oracle,
     parse_int_list_oracle,
     point_check_oracle,
     prefix_oracle,
@@ -78,6 +80,29 @@ def test_token_lists_match_the_oracle():
         body = rng.choice(PADS) + ",".join(toks) + rng.choice(PADS)
         what = rng.choice(["point", "tail"])
         assert _outcome(_parse_int_list, body, what) == _outcome(parse_int_list_oracle, body, what)
+
+
+LONG = ["9" * 4300, "9" * 4301, "0" * 4301, "-" + "1" * 4301]
+WORDS = ["[1;]", "[1; 2,]", "[;2]", "[]", "[ ]", "[\x1c]", "", " ", "[1; -2]", "[-1; 2]",
+         "[1; 2; 3]", "[1, 2]", "[1; 0]", "[1;;2]", "[1 2]", "[- 1]", "1; 2", "[1; 2", "1]",
+         "[1]]", "[[1]", "[\u0663; \u0661\u0662]", "\x1c[\x1c-4\x1c;\x1c5\x1c]\x1c",
+         "[1; 2]\n", "[1; 2] x"] + [f"[{t}]" for t in LONG] + [f"[1; 2, {t}]" for t in LONG] \
+    + [f"[x; {LONG[1]}]", f"[1; {' ' * 4400}2]"]
+
+
+def test_words_match_the_oracle():
+    rng = random.Random(9007)
+    texts = list(WORDS)
+    for _ in range(3000):
+        pad = lambda: rng.choice(PADS)  # noqa: E731
+        tokens = TOKENS + (LONG if rng.random() < 0.02 else [])
+        text = pad() + rng.choice(["[", "[", "[", "", "(", "[["]) + pad() + rng.choice(tokens)
+        if rng.random() < 0.8:
+            text += pad() + rng.choice([";", ";", ";", ",", ";;"]) + ",".join(
+                pad() + rng.choice(tokens) + pad() for _ in range(rng.randint(0, 6)))
+        texts.append(text + pad() + rng.choice(["]", "]", "]", "", ")", "]]", ",]"]) + pad())
+    for text in texts:
+        assert _outcome(parse_cf, text) == _outcome(parse_cf_oracle, text), text
 
 
 def test_point_validation_matches_the_oracle():
