@@ -9,9 +9,9 @@ both.  Distances over truncated points are tagged: EXACT when the first
 disagreement index was observed, or when equality is decidable from the
 periodic normal forms; AT_MOST when the inspected window showed no
 disagreement, a finite-precision report rather than a value of the metric,
-which lives on total sequences.  Points are parsed, checked, compared, sliced
-and printed by builtin scans whose per-entry loop runs in C; a Python loop
-runs only to name the first offending entry.
+which lives on total sequences.  Points are read, checked, compared, sliced
+and printed by builtin passes whose per-entry loop runs in C (one each to read
+and to print); a Python loop runs only to name the first offending entry.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain, compress, cycle, islice, repeat
 from operator import add, ne
 
-from .rational import INT_DIGITS, check_digit_budget, check_int_budget
+from .rational import _format_ints, _parse_ints, check_digit_budget, check_int_budget
 
 
 class InsufficientPrecisionError(ValueError):
@@ -225,19 +225,14 @@ def psi_inverse(p: Baire2Prefix) -> BairePrefix:
 
 
 _POINT_RE = re.compile(r"\s*\(([^()~]*)\)\s*(?:~\s*\(([^()~]*)\)\s*)?$")
-_INT_RE = re.compile(rf"-?{INT_DIGITS}")
 
 
 def _parse_int_list(body: str, what: str) -> tuple[int, ...]:
-    body = body.strip()
-    if not body:
-        return ()
-    toks = list(map(str.strip, body.split(",")))
-    if not all(map(_INT_RE.fullmatch, toks)):
-        bad = next(tok for tok in toks if not _INT_RE.fullmatch(tok))
-        check_digit_budget(bad, f"{what} entry")
-        raise ValueError(f"bad {what} entry: {bad!r}")
-    return tuple(map(int, toks))
+    ints = _parse_ints(body) if body.strip() else ()
+    if isinstance(ints, str):
+        check_digit_budget(ints, f"{what} entry")
+        raise ValueError(f"bad {what} entry: {ints!r}")
+    return ints
 
 
 def parse_point(text: str, cls: type = BairePrefix) -> _SeqPoint:
@@ -255,7 +250,5 @@ def parse_point(text: str, cls: type = BairePrefix) -> _SeqPoint:
 
 
 def format_point(p: _SeqPoint) -> str:
-    body = "(" + ",".join(map(str, p.entries)) + ")"
-    if p.tail is not None:
-        body += "~(" + ",".join(map(str, p.tail)) + ")"
-    return body
+    tail = "" if p.tail is None else f"~({_format_ints(p.tail, ',')})"
+    return f"({_format_ints(p.entries, ',')}){tail}"

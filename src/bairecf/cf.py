@@ -8,21 +8,19 @@ substitution accept arbitrary valid digit sequences, canonical or not.  Values,
 tails and convergents all come from one integer fold of the convergent
 recurrence (Khinchin, *Continued Fractions*, section 2); a surd's digits from
 the integer (P + sqrt(D))/Q recurrence (Perron), one isqrt per expansion.  Words
-are checked and printed by builtin scans (``all``, ``min``, ``map`` over
-``islice``) whose per-digit loop runs in C; a Python loop runs only to name the
-first bad digit.
+are read, checked and printed by builtin passes (``split``, ``map``, ``min``, a
+%-format) whose per-digit loop runs in C; a Python loop only names a bad digit.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from typing import Sequence
 
-from .rational import INT_DIGITS, check_digit_budget, check_int_budget, euclid_div
+from .rational import _format_ints, _parse_ints, check_digit_budget, check_int_budget
 from .surd import QuadraticSurd
 
 
@@ -70,15 +68,13 @@ def expand_rational(x: Fraction) -> CFWord:
     digits = []
     # Remainders at least halve every two steps, so this bound never fires.
     limit = 2 * b.bit_length() + 2
-    while True:
-        q, r = euclid_div(a, b)
+    for _ in range(limit + 1):
+        q, r = divmod(a, b)  # euclid_div, as every divisor b is positive
         digits.append(q)
-        if r == 0:
-            break
-        if len(digits) > limit:
-            raise RuntimeError(f"internal error: expansion of {x} exceeded {limit} steps")
+        if not r:
+            return CFWord(tuple(digits))
         a, b = b, r
-    return CFWord(tuple(digits))
+    raise RuntimeError(f"internal error: expansion of {x} exceeded {limit} steps")
 
 
 _EMPTY = (1, 0, 0, 1)  # (p_n, q_n, p_{n-1}, q_{n-1}) of the empty word
@@ -114,14 +110,15 @@ def evaluate_with_tail(prefix: Sequence[int], x: Fraction) -> Fraction:
     return Fraction(p * n + p0 * d, q * n + q0 * d)
 
 
+def _convergent_pairs(digits: Sequence[int]):
+    """Each prefix's (p_k, q_k), reduced as p_k q_{k-1} - p_{k-1} q_k = +-1 and q_k > 0."""
+    states = accumulate(digits, lambda state, a: _fold((a,), state), initial=_EMPTY)
+    return (state[:2] for state in islice(states, 1, None))
+
+
 def convergents(w: "CFWord | Sequence[int]") -> list[Fraction]:
-    """Values of all prefixes, read off the convergent state after each digit."""
-    out = []
-    state = _EMPTY
-    for a in _as_digits(w):
-        state = _fold((a,), state)
-        out.append(Fraction(state[0], state[1]))
-    return out
+    """Values of all prefixes."""
+    return [Fraction(p, q) for p, q in _convergent_pairs(_as_digits(w))]
 
 
 def expand_surd(s: QuadraticSurd, depth: int) -> tuple[int, ...]:
@@ -149,19 +146,15 @@ def expand_surd(s: QuadraticSurd, depth: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-_CF_RE = re.compile(
-    rf"\s*\[\s*(-?{INT_DIGITS})\s*(?:;\s*({INT_DIGITS}(?:\s*,\s*{INT_DIGITS})*)\s*)?\]\s*$"
-)
-
-
 def parse_cf(text: str) -> tuple[int, ...]:
-    m = _CF_RE.match(text)
-    if m is None:
+    """Read "[a0]" or "[a0; a1, ..., an]", with any whitespace around each mark."""
+    body = text.strip()
+    head, semi, tail = body[1:-1].partition(";")
+    ok = body[:1] == "[" and body[-1:] == "]" and "," not in head and "-" not in tail
+    digits = _parse_ints(f"{head},{tail}" if semi else head) if ok else text
+    if isinstance(digits, str):  # a bad token or text
         check_digit_budget(text, "word digit")
         raise ValueError(f"not a continued-fraction word: {text!r}")
-    digits = [int(m.group(1))]
-    if m.group(2):
-        digits.extend(map(int, m.group(2).split(",")))
     return _as_digits(digits)
 
 
@@ -169,4 +162,4 @@ def format_cf(w: "CFWord | Sequence[int]") -> str:
     digits = w.digits if isinstance(w, CFWord) else tuple(w)
     if len(digits) == 1:
         return f"[{digits[0]}]"
-    return f"[{digits[0]}; " + ", ".join(map(str, islice(digits, 1, None))) + "]"
+    return f"[{digits[0]}; {_format_ints(digits[1:], ', ')}]"

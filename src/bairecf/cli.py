@@ -46,10 +46,10 @@ from .baire import (
     psi_inverse,
     psi_map,
 )
-from .cf import convergents, evaluate, expand_rational, expand_surd, format_cf, parse_cf
+from .cf import _convergent_pairs, evaluate, expand_rational, expand_surd, format_cf, parse_cf
 from .cover import locate, member_of, verify_cover_properties
 from .homeo import check_ball_image, phi_forward, phi_inverse
-from .rational import check_digit_budget, format_rational, parse_rational
+from .rational import _format_ratio, check_digit_budget, format_rational, parse_rational
 from .surd import format_surd, parse_surd
 from .ultra import (
     _fmt_set,
@@ -159,7 +159,7 @@ def _cmd_cf_eval(args) -> dict:
 def _cmd_cf_convergents(args) -> dict:
     x = parse_rational(args.value)
     word = expand_rational(x)
-    cs = [format_rational(c) for c in convergents(word)]
+    cs = [_format_ratio(p, q) for p, q in _convergent_pairs(word.digits)]
     return {"value": format_rational(x), "word": list(word.digits), "convergents": cs}
 
 

@@ -670,14 +670,15 @@ _CF_RE = re.compile(
 
 
 def parse_cf_oracle(text: str) -> tuple:
-    """A word "[a0; a1, ..., an]" read by one regex over the whole text."""
+    """A word "[a0; a1, ..., an]" read by one regex over the whole text.  Each
+    later digit is stripped, since ``int`` refuses the \\x1c-\\x1f that ``\\s`` takes."""
     m = _CF_RE.match(text)
     if m is None:
         check_digit_budget(text, "word digit")
         raise ValueError(f"not a continued-fraction word: {text!r}")
     digits = [int(m.group(1))]
     if m.group(2):
-        digits.extend(map(int, m.group(2).split(",")))
+        digits.extend(map(int, map(str.strip, m.group(2).split(","))))
     return as_digits_oracle(digits)
 
 

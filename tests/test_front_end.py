@@ -3,6 +3,7 @@ error message and every first-offender index must agree, on seeded random
 inputs and on points of 20 000 entries."""
 
 import random
+import tracemalloc
 
 from bairecf import (
     Baire2Prefix,
@@ -86,16 +87,20 @@ LONG = ["9" * 4300, "9" * 4301, "0" * 4301, "-" + "1" * 4301]
 WORDS = ["[1;]", "[1; 2,]", "[;2]", "[]", "[ ]", "[\x1c]", "", " ", "[1; -2]", "[-1; 2]",
          "[1; 2; 3]", "[1, 2]", "[1; 0]", "[1;;2]", "[1 2]", "[- 1]", "1; 2", "[1; 2", "1]",
          "[1]]", "[[1]", "[\u0663; \u0661\u0662]", "\x1c[\x1c-4\x1c;\x1c5\x1c]\x1c",
-         "[1; 2]\n", "[1; 2] x"] + [f"[{t}]" for t in LONG] + [f"[1; 2, {t}]" for t in LONG] \
-    + [f"[x; {LONG[1]}]", f"[1; {' ' * 4400}2]"]
+         "[1; 2]\n", "[1; 2] x", "[1; 2 ,\x1c5\x1f, 3]", f"[x; {LONG[1]}]",
+         f"[1; {' ' * 4400}2]"] + [f"[{t}]" for t in LONG] + [f"[1; 2, {t}]" for t in LONG]
 
 
 def test_words_match_the_oracle():
     rng = random.Random(9007)
+
+    def pad():
+        return rng.choice(PADS)
+
+    good = ["0", "7", "42", "-3", "\u0663", "\uff11\uff12", "9" * 60]
     texts = list(WORDS)
     for _ in range(3000):
-        pad = lambda: rng.choice(PADS)  # noqa: E731
-        tokens = TOKENS + (LONG if rng.random() < 0.02 else [])
+        tokens = good if rng.random() < 0.5 else TOKENS + (LONG if rng.random() < 0.02 else [])
         text = pad() + rng.choice(["[", "[", "[", "", "(", "[["]) + pad() + rng.choice(tokens)
         if rng.random() < 0.8:
             text += pad() + rng.choice([";", ";", ";", ",", ";;"]) + ",".join(
@@ -103,6 +108,28 @@ def test_words_match_the_oracle():
         texts.append(text + pad() + rng.choice(["]", "]", "]", "", ")", "]]", ",]"]) + pad())
     for text in texts:
         assert _outcome(parse_cf, text) == _outcome(parse_cf_oracle, text), text
+    assert parse_cf("[1; 2 ,\x1c5\x1f, 3]") == (1, 2, 5, 3)
+
+
+def _peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_20000_entries_peaks_below_1_mb():
+    """Reading a list of one-digit entries makes no string per entry: the peak is the
+    text's copies and the result tuple.  (A whole-word regex with a repeated group
+    keeps match state per token: 6.6 MB for this word.)"""
+    rng = random.Random(9008)
+    word = (rng.randint(-9, 9),) + tuple(rng.randint(1, 9) for _ in range(19_999))
+    entries = tuple(rng.randint(0, 9) for _ in range(20_000))
+    assert _peak_bytes(parse_cf, format_cf(word)) < 1_000_000
+    for text in (format_point(BairePrefix(entries, (1, 2))), f"({', '.join(map(str, entries))})"):
+        assert _peak_bytes(parse_point, text) < 1_000_000
 
 
 def test_point_validation_matches_the_oracle():

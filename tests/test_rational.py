@@ -13,7 +13,8 @@ from bairecf import (
     parse_rational,
     parse_surd,
 )
-from bairecf.rational import MAX_DIGITS, rational_pairs
+import bairecf.rational as rational
+from bairecf.rational import MAX_DIGITS, _format_ratio, rational_pairs
 
 
 def test_parse_basic():
@@ -64,6 +65,10 @@ def test_digit_budget_matches_the_interpreter_limit_without_lifting_it():
     for x in (Fraction(big), Fraction(-big, 3), Fraction(1, big), Fraction(big + 1, big + 2)):
         with pytest.raises(ValueError, match="exceeds the 4300-digit budget; use a lower"):
             format_rational(x)
+        # the pair printer behind `cf convergents` refuses them with the same message
+        with pytest.raises(ValueError, match="exceeds the 4300-digit budget; use a lower"):
+            _format_ratio(x.numerator, x.denominator)
+    assert _format_ratio(-(big - 1), 1) == format_rational(Fraction(-(big - 1)))
     for text in ("1" * 4301, "-" + "1" * 4301, "1/" + "1" * 4301, "0" * 4300 + "1/2"):
         with pytest.raises(ValueError, match="exceeds the 4300-digit budget"):
             parse_rational(text)
@@ -72,6 +77,7 @@ def test_digit_budget_matches_the_interpreter_limit_without_lifting_it():
 
 def test_parsers_share_the_digit_budget():
     ok, over = "7" * MAX_DIGITS, "7" * (MAX_DIGITS + 1)
+    assert parse_point(f"({' ' * MAX_DIGITS}1, {'0' * (MAX_DIGITS - 1)}2)").entries == (1, 2)
     assert parse_cf(f"[{ok}; {ok}]") == (int(ok), int(ok))
     assert parse_point(f"(-{ok})~({ok})", Baire2Prefix).entries == (-int(ok),)
     assert parse_surd(f"({ok}+1*sqrt(2))/1").p == int(ok)
@@ -79,6 +85,7 @@ def test_parsers_share_the_digit_budget():
         (parse_cf, f"[{over}]", "word digit"),
         (parse_cf, f"[1; {ok}, {over}]", "word digit"),
         (parse_point, f"(1, -{over})", "point entry"),
+        (parse_point, f"(1, -{'0' * MAX_DIGITS}1)", "point entry"),
         (parse_point, f"(1)~(2,{over})", "tail entry"),
         (parse_surd, f"(1-1*sqrt(2))/-{over}", "surd parameter"),
         (parse_rational, f" -{over} / 3", "rational"),
@@ -91,6 +98,19 @@ def test_parsers_share_the_digit_budget():
         parse_cf(f"[{ok}; x]")
     with pytest.raises(ValueError, match="bad point entry"):
         parse_point(f"({ok}, 1.5)")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_digit_budget_holds_where_int_has_no_limit(monkeypatch):
+    """Before Python 3.11, or with the interpreter's limit lifted, int() reads any
+    length, so the list reader measures its tokens itself."""
+    monkeypatch.setattr(rational, "_INT_CAPPED", False)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        test_parsers_share_the_digit_budget()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_euclid_div_exhaustive():
