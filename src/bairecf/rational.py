@@ -93,12 +93,12 @@ def _format_ratio(p: int, q: int) -> str:
 
 def _parse_ints(body: str) -> tuple[int, ...] | str:
     """The integers of a comma list of -?INT_DIGITS between any whitespace, else its first bad
-    token.  On these characters ``int`` reads just such tokens, and when _INT_CAPPED (Python
-    3.11+) refuses overlong ones; ", " -> "," keeps one-digit tokens shared strings."""
-    toks = body.replace(", ", ",").split(",")
+    token.  On these characters ``int`` reads just such tokens, pads but \\x1c-\\x1f included,
+    and refuses overlong ones when _INT_CAPPED (Python 3.11+); the loop strips each token."""
+    toks = body.replace(", ", ",").split(",")  # one-digit tokens stay shared 1-char strings
     if _INT_LIST_CHARS.fullmatch(body) and (_INT_CAPPED or max(map(len, toks)) <= MAX_DIGITS):
-        with suppress(ValueError):  # a bad token is named below
-            return tuple(map(int, map(str.strip, toks)))
+        with suppress(ValueError):
+            return tuple(map(int, toks))
     bad = next(filterfalse(_INT_RE.fullmatch, map(str.strip, toks)), None)
     return tuple(map(int, map(str.strip, toks))) if bad is None else bad
 
