@@ -14,7 +14,6 @@ budget, as reduced integer (numerator, denominator) pairs, with no
 from __future__ import annotations
 
 import re
-import sys
 from contextlib import suppress
 from fractions import Fraction
 from itertools import filterfalse, repeat
@@ -31,7 +30,6 @@ _OVERLONG = re.compile(rf"\d{{{MAX_DIGITS + 1}}}")
 _RATIONAL_RE = re.compile(rf"\s*(-?{INT_DIGITS})\s*(?:/\s*({INT_DIGITS})\s*)?$")
 _INT_RE = re.compile(rf"-?{INT_DIGITS}")
 _INT_LIST_CHARS = re.compile(r"[\s\d,-]*")
-_INT_CAPPED = 0 < getattr(sys, "get_int_max_str_digits", int)() <= MAX_DIGITS
 
 
 def check_digit_budget(text: str, what: str) -> None:
@@ -93,10 +91,10 @@ def _format_ratio(p: int, q: int) -> str:
 
 def _parse_ints(body: str) -> tuple[int, ...] | str:
     """The integers of a comma list of -?INT_DIGITS between any whitespace, else its first bad
-    token.  On these characters ``int`` reads just such tokens, pads but \\x1c-\\x1f included,
-    and refuses overlong ones when _INT_CAPPED (Python 3.11+); the loop strips each token."""
+    token.  On these characters and at most MAX_DIGITS per token, ``int`` reads just such
+    tokens, pads but \\x1c-\\x1f included; the loop strips each token."""
     toks = body.replace(", ", ",").split(",")  # one-digit tokens stay shared 1-char strings
-    if _INT_LIST_CHARS.fullmatch(body) and (_INT_CAPPED or max(map(len, toks)) <= MAX_DIGITS):
+    if _INT_LIST_CHARS.fullmatch(body) and max(map(len, toks)) <= MAX_DIGITS:
         with suppress(ValueError):
             return tuple(map(int, toks))
     bad = next(filterfalse(_INT_RE.fullmatch, map(str.strip, toks)), None)
@@ -112,4 +110,5 @@ def euclid_div(a: int, b: int) -> tuple[int, int]:
     """Quotient and remainder with 0 <= r < b, also for negative dividends."""
     if b <= 0:
         raise ValueError(f"divisor must be positive, got {b}")
-    return divmod(a, b)  # floor division for ints, which is exactly this contract
+    # Python's // is floor division for ints, which is exactly this contract.
+    return a // b, a % b

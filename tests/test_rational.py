@@ -13,7 +13,6 @@ from bairecf import (
     parse_rational,
     parse_surd,
 )
-import bairecf.rational as rational
 from bairecf.rational import MAX_DIGITS, _format_ratio, rational_pairs
 
 
@@ -101,10 +100,9 @@ def test_parsers_share_the_digit_budget():
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
-def test_digit_budget_holds_where_int_has_no_limit(monkeypatch):
-    """Before Python 3.11, or with the interpreter's limit lifted, int() reads any
-    length, so the list reader measures its tokens itself."""
-    monkeypatch.setattr(rational, "_INT_CAPPED", False)
+def test_digit_budget_holds_where_int_has_no_limit():
+    """With the interpreter's limit lifted after import, int() reads any length,
+    so the list reader measures its tokens itself."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
