@@ -5,12 +5,12 @@ without it a short human-readable text form is printed.  Exit codes: 0 on
 success, 1 for bad input or unreadable files, 2 for usage errors, 3 when a
 verification command ran and found a violation.
 
-Depth-like arguments (--depth, --bound, --max-level) and the level count of
-a covers file are capped by the BAIRECF_MAX_DEPTH environment variable
-(default 64); ``cover verify`` slices are capped at MAX_COVER_WORDS words
-before anything is built, and ``ultra`` and ``embed`` inputs at
-``ultra.MAX_POINTS`` points and ``ultra.MAX_MATRIX_BITS`` bits of matrix when
-their JSON is read.
+Depth-like arguments (--depth, --bound, --max-level), the cylinder length of
+``baire ball`` and the level count of a covers file are capped by the
+BAIRECF_MAX_DEPTH environment variable (default 64); ``cover verify`` slices
+are capped at MAX_COVER_WORDS words before anything is built, and ``ultra``
+and ``embed`` inputs at ``ultra.MAX_POINTS`` points and
+``ultra.MAX_MATRIX_BITS`` bits of matrix when their JSON is read.
 
 Each ``_cmd_*`` handler returns only the command's JSON payload, a dict; a
 verification that finds a violation says so with ``"status": "error"``.  The
@@ -46,10 +46,12 @@ from .baire import (
     psi_inverse,
     psi_map,
 )
-from .cf import _convergent_pairs, evaluate, expand_rational, expand_surd, format_cf, parse_cf
+from .cf import (_EMPTY, _convergent_pairs, _fold, expand_rational, expand_surd, format_cf,
+                 parse_cf)
 from .cover import locate, member_of, verify_cover_properties
 from .homeo import check_ball_image, phi_forward, phi_inverse
-from .rational import _format_ratio, check_digit_budget, format_rational, parse_rational
+from .rational import (_DIGITS_CAP, _format_ratio, check_digit_budget, format_rational,
+                       parse_rational)
 from .surd import format_surd, parse_surd
 from .ultra import (
     _fmt_set,
@@ -153,7 +155,13 @@ def _cmd_cf_expand(args) -> dict:
 
 def _cmd_cf_eval(args) -> dict:
     digits = parse_cf(args.word)
-    return {"word": list(digits), "value": format_rational(evaluate(digits))}
+    # q only grows along a word, so the fold stops at the first chunk past the budget
+    state = _EMPTY
+    for start in range(0, len(digits), 512):
+        state = _fold(digits[start : start + 512], state)
+        if state[1] >= _DIGITS_CAP:
+            break
+    return {"word": list(digits), "value": _format_ratio(*state[:2])}
 
 
 def _cmd_cf_convergents(args) -> dict:
@@ -189,6 +197,8 @@ def _cmd_baire_dist(args) -> dict:
 def _cmd_baire_ball(args) -> dict:
     f = parse_point(args.point, _point_class(args))
     r = parse_rational(args.radius)
+    if 0 < r <= 1:
+        _capped(r.denominator // r.numerator, "cylinder length")
     cyl = cylinder_of_ball(f, r)
     whole = cyl is WHOLE_SPACE
     return {"point": format_point(f), "radius": format_rational(r), "whole_space": whole,
@@ -227,6 +237,8 @@ def _cmd_cover_show(args) -> dict:
 def _cmd_cover_locate(args) -> dict:
     s = parse_surd(args.surd)
     level = _capped(args.level, "level")
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     m = locate(s, level)
     return {"surd": format_surd(s), "level": m.level, "word": list(m.word), **_ends(m.interval)}
 

@@ -5,7 +5,9 @@ balls into refining partitions (``build_cover_sequence``), read an ultrametric
 off each pair's separation level (``ultrametric_from_covers``), verify the
 strong triangle inequality and the open-ball phenomena, check that the balls
 are the blocks plus the whole space, and embed the points isometrically into
-the integer-sequence space (``sierpinski_embed``).
+the integer-sequence space (``sierpinski_embed``).  The ball phenomena all
+follow from one fact, that an ultrametric ball is centered at each of its
+members, so they are checked by centering at each radius of the ball sweep.
 
 Everything from the input to the verdict is an int.  ``table_from_json`` reads
 each ``"p/q"`` as a reduced (numerator, denominator) pair, and a table is one
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, combinations, compress, count, islice, pairwise, repeat
 from math import gcd, lcm
-from operator import add, eq, ne, or_
+from operator import add, ne, or_
 
 from .baire import BairePrefix
 from .rational import parse_rational, rational_pairs
@@ -450,61 +452,29 @@ def _ball_sweep(table: DistanceTable):
         yield r, balls
 
 
-def _ball_checks(table: DistanceTable) -> tuple[PropertyCheck, ...]:
-    """Nesting, coincidence, centers, absorption and partition over the sweep, on any table.
+def verify_ball_properties(table: DistanceTable) -> BallPropertiesReport:
+    """Open-ball behaviour at every radius of the sweep, on an ultrametric table.
 
-    A closed ball is the open ball at the next radius, so absorption is checked
-    there.  A radius is centered when each ball's owners (the points whose ball
-    it is) are its members: then the balls partition the space, and as balls
-    only grow, absorption holds and nesting holds at the next radius.
+    In an ultrametric each open ball is centered at every member, so at each
+    radius the distinct balls partition the space, two balls of one radius
+    coincide or are disjoint, a closed ball (the open ball at the next radius)
+    absorbs the open balls at its members, and balls nest as the radius grows.
+    A table is an ultrametric exactly when every radius is centered, each ball
+    being the set of points whose ball it is, so the sweep re-checks Prim's verdict.
     """
-    pts, q, positions = table.points, table._frac, range(len(table.points))
-
-    def fmt(mask):
-        return _fmt_set(_select(pts, mask))
-
-    nesting = coincide = centers = absorption = partition = PropertyCheck.ok()
-    prev_balls = prev_distinct = prev_r = None
+    um = verify_ultrametric(table)
+    if not um.all_passed:
+        skipped = PropertyCheck.fail("not checked: table is not an ultrametric")
+        return BallPropertiesReport(um, *[skipped] * 5)
     for r, balls in _ball_sweep(table):
         owner: dict = {}  # ball -> the points whose ball it is
         for i, ball in enumerate(balls):
             owner[ball] = owner.get(ball, 0) | 1 << i
-        distinct = None if all(map(eq, owner, owner.values())) else sorted(owner, key=_low)
-        # each point lies in its own ball, so the balls cover the space, and they
-        # partition it (coincide) exactly when their sizes add up to the point count
-        if distinct and coincide.passed and sum(map(int.bit_count, distinct)) != len(pts):
-            b1, b2 = next((b1, b2) for a, b1 in enumerate(distinct)
-                          for b2 in distinct[a + 1 :] if b1 & b2)
-            coincide = PropertyCheck.fail(
-                f"radius {q(r)}: distinct balls {fmt(b1)} and {fmt(b2)} meet")
-            partition = PropertyCheck.fail(
-                f"radius {q(r)}: the distinct balls do not partition the space")
-        if distinct and centers.passed:
-            b = next(b for b in distinct if owner[b] != b)
-            y = _low(b & ~owner[b])  # a ball holds its owners, so some member is no owner
-            centers = PropertyCheck.fail(
-                f"radius {q(r)}: ball at {pts[y]} differs from the ball {fmt(b)}")
-        if distinct and absorption.passed and prev_balls:
-            bad = next(((x, s) for s in distinct for x in _select(positions, s)
-                        if prev_balls[x] & ~s), None)
-            if bad is not None:
-                absorption = PropertyCheck.fail(f"radius {q(prev_r)}: open ball at {pts[bad[0]]} "
-                                                f"leaves the closed ball {fmt(bad[1])}")
-        # a smaller ball sits inside the larger ball around each of its members;
-        # with same-radius disjointness this pins down every intersecting pair
-        b = next((b for b in prev_distinct or () if b & ~balls[_low(b)]), None)
-        if nesting.passed and b is not None:
-            nesting = PropertyCheck.fail(f"radii {q(prev_r)} <= {q(r)}: ball {fmt(b)} "
-                                         f"is not inside {fmt(balls[_low(b)])}")
-        prev_balls, prev_distinct, prev_r = balls, distinct, r
-    return nesting, coincide, centers, absorption, partition
-
-
-def verify_ball_properties(table: DistanceTable) -> BallPropertiesReport:
-    """Open-ball behaviour at every radius of the sweep, on an ultrametric table."""
-    um = verify_ultrametric(table)
-    skipped = PropertyCheck.fail("not checked: table is not an ultrametric")
-    return BallPropertiesReport(um, *(_ball_checks(table) if um.all_passed else [skipped] * 5))
+        bad = next(compress(owner, map(ne, owner, owner.values())), None)
+        if bad is not None:
+            raise RuntimeError(f"internal error: radius {table._frac(r)}: ball "
+                               f"{_fmt_set(_select(table.points, bad))} is not centered")
+    return BallPropertiesReport(um, *[PropertyCheck.ok()] * 5)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import bairecf.cli as cli
 import bairecf.ultra as ultra
 from bairecf import convergents, evaluate, expand_rational, format_rational, parse_rational
+from bairecf.cf import _fold
 from bairecf.cli import main, run
 from bairecf.cover import CoverReport, IntervalQ
 from bairecf.homeo import BallImageCheck
@@ -130,6 +131,14 @@ def test_baire_ball():
     assert payload["cylinder"] is None
     res = run(["baire", "ball", "(1,2)", "1/9"])
     assert res.exit_code == 1
+    # the cylinder has floor(1/r) entries, capped like every other depth
+    res = run(["baire", "ball", "(1)~(2)", "1/64"])
+    assert (res.exit_code, res.out) == (0, "(1" + ",2" * 63 + ")")
+    res = run(["baire", "ball", "(1)~(2)", "1/65"])
+    assert (res.exit_code, res.out) == (1, "")
+    assert res.err == (
+        "error: cylinder length 65 exceeds the configured maximum 64 (BAIRECF_MAX_DEPTH)")
+    assert run(["baire", "ball", "(1)~(2)", "0"]).err == "error: radius must be positive, got 0"
 
 
 def test_baire_psi_both_ways():
@@ -144,6 +153,11 @@ def test_cover_show_and_locate():
     assert (res.exit_code, res.out) == (0, "level 2: (7/5, 10/7)")
     res = run(["cover", "locate", "(0+1*sqrt(2))/1", "--level", "3"])
     assert (res.exit_code, res.out) == (0, "[1; 2, 2, 2] (24/17, 17/12)")
+    # each command names its own argument
+    res = run(["cover", "locate", "(0+1*sqrt(2))/1", "--level", "-1"])
+    assert (res.exit_code, res.err) == (1, "error: level must be >= 0, got -1")
+    res = run(["homeo", "inv", "(0+1*sqrt(2))/1", "--depth", "-1"])
+    assert (res.exit_code, res.err) == (1, "error: depth must be >= 0, got -1")
 
 
 def test_cover_verify_passes():
@@ -329,6 +343,21 @@ def test_results_past_the_digit_budget_exit_one(monkeypatch):
         assert "set_int_max_str_digits" not in res.err
     assert run(["homeo", "fwd", "(9)~(9)", "--depth", "2000"]).exit_code == 0
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_cf_eval_stops_folding_once_past_the_budget(monkeypatch):
+    pushed = []
+
+    def fold(digits, state):
+        pushed.append(len(digits))
+        return _fold(digits, state)
+
+    monkeypatch.setattr(cli, "_fold", fold)
+    res = run(["cf", "eval", "[1; " + ", ".join(["9"] * 65000) + "]"])
+    assert (res.exit_code, res.err) == (
+        1, "error: result exceeds the 4300-digit budget; use a lower depth")
+    # q passes 10^4300 within the ninth chunk of 512 digits
+    assert pushed == [512] * 9
 
 
 def test_default_depth_cap_is_64():

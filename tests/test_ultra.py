@@ -9,7 +9,6 @@ import pytest
 
 import bairecf.ultra as ultra
 from _oracles import (
-    ball_checks_oracle,
     ball_properties_hold,
     ball_report_oracle,
     ball_system,
@@ -29,6 +28,7 @@ from bairecf import (
     Distance,
     DistanceTable,
     FiniteSpace,
+    PropertyCheck,
     UnseparatedPairError,
     baire_distance,
     build_cover_sequence,
@@ -41,7 +41,7 @@ from bairecf import (
     verify_base_equality,
     verify_ultrametric,
 )
-from bairecf.ultra import _ball_checks, _ball_sweep, _balls, _select
+from bairecf.ultra import _ball_sweep, _balls, _select
 
 
 def _table(points, triples):
@@ -330,6 +330,17 @@ def test_verify_ball_properties_reports_precondition():
     assert "not checked" in rep.nesting.counterexample
 
 
+def test_uncentered_radius_after_a_passing_verdict_is_an_internal_error(monkeypatch):
+    # a-b = a-c = 1 < b-c = 2 breaks the strong triangle inequality; with the verdict
+    # forced to pass, the ball of a at radius 2 holds b and c, whose balls differ
+    t = _table("abc", [("a", "b", 1), ("a", "c", 1), ("b", "c", 2)])
+    monkeypatch.setattr(ultra, "verify_ultrametric",
+                        lambda table: ultra.UltrametricReport(*[PropertyCheck.ok()] * 2))
+    with pytest.raises(RuntimeError, match=re.escape(
+            "internal error: radius 2: ball {a, b, c} is not centered")):
+        verify_ball_properties(t)
+
+
 def test_verify_base_equality_three_point():
     seq = CoverSequence([[{"a", "b"}, {"c"}], [{"a"}, {"b"}, {"c"}]])
     rep = verify_base_equality(seq)
@@ -542,7 +553,10 @@ def test_reports_match_fraction_oracles():
         um = verify_ultrametric(table)
         assert um == ultrametric_scan_oracle(table), (kind, table.as_json())
         assert verify_ball_properties(table) == ball_report_oracle(table), (kind, table.as_json())
-        assert _ball_checks(table) == ball_checks_oracle(table), (kind, table.as_json())
+        # each ball is the ball of all its members, at every radius, exactly on ultrametrics
+        centered = all(balls[j] == ball for _, balls in _ball_sweep(table)
+                       for ball in balls for j in _select(range(len(balls)), ball))
+        assert centered == um.all_passed, (kind, table.as_json())
         verdicts[kind].add(um.all_passed)
         bad = triangle_failure(table)
         if bad is None:
