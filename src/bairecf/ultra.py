@@ -1,23 +1,24 @@
 """Finite-model laboratory: refining partitions, ultrametrics, verification.
 
-A finite metric space goes through the zero-dimensionality pipeline: shrink
-balls into refining partitions (``build_cover_sequence``), read an ultrametric
-off each pair's separation level (``ultrametric_from_covers``), verify the
-strong triangle inequality and the open-ball phenomena, check that the balls
-are the blocks plus the whole space, and embed the points isometrically into
-the integer-sequence space (``sierpinski_embed``).  The ball phenomena all
-follow from one fact, that an ultrametric ball is centered at each of its
-members, so they are checked by centering at each radius of the ball sweep.
+A finite metric space goes through the zero-dimensionality pipeline: shrink balls into
+refining partitions (``build_cover_sequence``), read an ultrametric off each pair's
+separation level (``ultrametric_from_covers``), verify the strong triangle inequality
+and the open-ball phenomena, re-check that the balls are the blocks plus the whole
+space, and embed the points isometrically into the integer-sequence space
+(``sierpinski_embed``).  The ball phenomena all follow from one fact, that an
+ultrametric ball is centered at each of its members, so they are checked by centering
+at each radius of the ball sweep.  Centering on an ultrametric and base equality on
+separating covers are theorems, so a failure of either is an internal error.
 
-Everything from the input to the verdict is an int.  ``table_from_json`` reads
-each ``"p/q"`` as a reduced (numerator, denominator) pair, and a table is one
-integer matrix over the lcm of its denominators, so d < r exactly when
-d * scale < ceil(r * scale).  A ball or a peeled piece is a mask with bit k for
-``points[k]``, whose lowest set bit is its smallest member; a cover sequence has
-frozenset blocks and one digit list per point.  ``Fraction``s are made only for
-answers, messages and the JSON payloads.  JSON inputs past ``MAX_POINTS`` points, or
-``MAX_MATRIX_BITS`` bits of matrix (points squared times the bits of the
-scale, which can grow without bound), are refused before any table is built.
+Everything from the input to the verdict is an int.  ``table_from_json`` reads each
+``"p/q"`` as a reduced (numerator, denominator) pair, and a table is one integer matrix
+over the lcm of its denominators, so d < r exactly when d * scale < ceil(r * scale).  A
+ball or a peeled piece is a mask with bit k for ``points[k]``, whose lowest set bit is
+its smallest member; a cover sequence has frozenset blocks and one digit list per point.
+``Fraction``s are made only for answers, messages and the JSON payloads.  JSON inputs
+past ``MAX_POINTS`` points, or ``MAX_MATRIX_BITS`` bits of matrix (points squared times
+the bits of the scale, which can grow without bound), are refused before any table is
+built, and so is an empty space.
 """
 
 from __future__ import annotations
@@ -190,6 +191,8 @@ def table_from_json(obj, require_metric: bool = False) -> DistanceTable:
     if not isinstance(points, list):
         raise ValueError("points must be a list of ids")
     _check_points(len(points))
+    if not points:
+        raise ValueError("need at least one point")
     _check_ids(points)
     if not isinstance(rows, list):
         raise ValueError("dist must be a list of rows")
@@ -250,6 +253,8 @@ class CoverSequence:
             blocks.sort(key=lambda b: min(map(key.__getitem__, b)))
         self.levels: tuple[tuple[frozenset, ...], ...] = tuple(map(tuple, canon))
         self.ground: frozenset = frozenset().union(*self.levels[0])
+        if not self.ground:
+            raise ValueError("need at least one point")
         self.points: tuple = tuple(sorted(self.ground, key=key.__getitem__))
         columns: list[list[int]] = []  # per level, each point's block index
         for li, blocks in enumerate(self.levels):
@@ -492,21 +497,16 @@ class BaseEqualityReport:
 
 
 def verify_base_equality(seq: CoverSequence) -> BaseEqualityReport:
-    """Ball system of the ultrametric read off seq == all blocks plus the whole space,
-    both as sets of masks."""
+    """Ball system of the ultrametric read off seq, from the table alone, == all blocks
+    plus the whole space, as sets of masks.  A theorem for a separating seq: the open
+    ball at a radius in (1/(j+1), 1/j] is the level-(j-1) block, past 1 the whole space."""
     table = ultrametric_from_covers(seq, seq.ground)
     balls = {ball for _, row in _ball_sweep(table) for ball in row}
-    base = {sum(1 << table.index[x] for x in b) for blocks in seq.levels for b in blocks}
-    base.add((1 << len(table.points)) - 1)
-    if balls == base:
-        check = PropertyCheck.ok()
-    elif balls - base:
-        stray = _fmt_set(_select(table.points, min(balls - base)))
-        check = PropertyCheck.fail(f"ball {stray} is not a block or the whole space")
-    else:
-        missing = _fmt_set(_select(table.points, min(base - balls)))
-        check = PropertyCheck.fail(f"block {missing} is not realized as a ball")
-    return BaseEqualityReport(check, len(balls), len(base))
+    base = {sum(1 << table.index[x] for x in b) for b in chain(*seq.levels, [seq.ground])}
+    if balls != base:
+        odd = _fmt_set(_select(table.points, min(balls ^ base)))
+        raise RuntimeError(f"internal error: {odd} is a ball or a block, not both")
+    return BaseEqualityReport(PropertyCheck.ok(), len(balls), len(base))
 
 
 def sierpinski_embed(seq: CoverSequence) -> dict:

@@ -15,10 +15,8 @@ import bairecf.ultra as ultra
 from bairecf import convergents, evaluate, expand_rational, format_rational, parse_rational
 from bairecf.cf import _fold
 from bairecf.cli import main, run
-from bairecf.cover import CoverReport, IntervalQ
-from bairecf.homeo import BallImageCheck
+from bairecf.cover import CoverReport
 from bairecf.report import PropertyCheck
-from bairecf.ultra import BaseEqualityReport
 
 from _commands import COMMANDS, GOLDEN_DIR, blob
 
@@ -207,6 +205,22 @@ def test_ultra_point_budget(tmp_path):
         assert "801 points exceed the budget 800" in res.err, argv
 
 
+def test_empty_space_exits_one_in_every_file_command(tmp_path):
+    space = tmp_path / "empty.json"
+    space.write_text(json.dumps({"points": [], "dist": []}))
+    argvs = [["ultra", "verify", str(space)], ["ultra", "build", str(space), "--depth", "2"],
+             ["ultra", "base-eq", str(space), "--depth", "2"], ["embed", str(space)]]
+    for k, levels in enumerate(([[]], [[], []])):
+        covers = tmp_path / f"covers{k}.json"
+        covers.write_text(json.dumps({"levels": levels}))
+        argvs.append(["ultra", "base-eq", str(covers), "--covers"])
+    for argv in argvs:
+        for extra in ([], ["--json"]):
+            res = run(argv + extra)
+            assert (res.exit_code, res.out, res.err) == (
+                1, "", "error: need at least one point"), argv + extra
+
+
 def test_ultra_bad_tables_exit_one_with_a_message(tmp_path):
     cases = [
         ({"points": ["a", "b"], "dist": [["a", "b", "1"], ["a", "b", "2"]]},
@@ -216,6 +230,7 @@ def test_ultra_bad_tables_exit_one_with_a_message(tmp_path):
         ({"points": ["a", "b"], "dist": [[["a"], "b", "1"]]},
          "error: point id must be a string or integer: ['a']"),
         ({"points": ["a", "b"], "dist": "ab"}, "error: dist must be a list of rows"),
+        ({"points": "ab", "dist": []}, "error: points must be a list of ids"),
     ]
     for obj, err in cases:
         path = tmp_path / "table.json"
@@ -535,27 +550,6 @@ def test_cover_verify_failure_exits_three_in_both_modes(monkeypatch):
         "words_checked: 10",
     ]
     assert payload == {"status": "error", **report.as_json()}
-
-
-def test_ultra_base_eq_failure_exits_three_in_both_modes(monkeypatch):
-    report = BaseEqualityReport(PropertyCheck.fail("ball {a} is not a block or the whole space"),
-                                6, 5)
-    monkeypatch.setattr(cli, "verify_base_equality", lambda seq: report)
-    lines, payload = _both_modes(["ultra", "base-eq", SPACE3, "--depth", "2"])
-    assert lines == [
-        "equality: FAIL (ball {a} is not a block or the whole space)",
-        "ball_system_size: 6",
-        "base_system_size: 5",
-    ]
-    assert payload == {"status": "error", **report.as_json(), "depth": 2}
-
-
-def test_homeo_ball_escape_exits_three_in_both_modes(monkeypatch):
-    check = BallImageCheck((1, 2, 2), IntervalQ(Fraction(7, 5), Fraction(10, 7)), 9, False)
-    monkeypatch.setattr(cli, "check_ball_image", lambda p, n: check)
-    lines, payload = _both_modes(["homeo", "ball", "(1)~(2)", "--n", "3"])
-    assert lines == ["[1; 2, 2] (7/5, 10/7) (9 samples ESCAPED)"]
-    assert payload["all_inside"] is False
 
 
 def test_ultra_verify_failure_exits_three_in_both_modes():

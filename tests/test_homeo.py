@@ -1,6 +1,7 @@
 """Tests for the digit-sequence/irrational dictionary."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from bairecf import (
     phi_forward,
     phi_inverse,
 )
+from bairecf.cover import IntervalQ
 from _oracles import NAMED_SURDS, ball_image_oracle, periodic_surd
 
 
@@ -164,6 +166,15 @@ def test_check_ball_image_matches_the_oracle():
         got = _outcome(check_ball_image, p, n)
         assert got == _outcome(ball_image_oracle, p, n), (p, n)
         assert got[0] != "ok" or got[1].samples_checked == 9
+
+
+def test_escaping_sample_is_an_internal_error(monkeypatch):
+    # the fifth sample, the extension (2, 2), is made to leave the interval
+    verdicts = iter([True] * 4 + [False])
+    monkeypatch.setattr(IntervalQ, "contains_interval", lambda self, other: next(verdicts))
+    with pytest.raises(RuntimeError, match=re.escape(
+            "internal error: word (1, 2, 2, 2, 2) leaves (7/5, 10/7)")):
+        check_ball_image(Baire2Prefix((1,), (2,)), 3)
 
 
 def test_check_ball_image_errors():

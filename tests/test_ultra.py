@@ -12,6 +12,7 @@ from _oracles import (
     ball_properties_hold,
     ball_report_oracle,
     ball_system,
+    balls_centered,
     base_equality_oracle,
     closed_ball,
     cover_sequence_oracle,
@@ -339,6 +340,27 @@ def test_uncentered_radius_after_a_passing_verdict_is_an_internal_error(monkeypa
     with pytest.raises(RuntimeError, match=re.escape(
             "internal error: radius 2: ball {a, b, c} is not centered")):
         verify_ball_properties(t)
+
+
+def test_base_equality_mismatch_is_an_internal_error(monkeypatch):
+    # with a, b and c all at distance 1 the balls are the singletons and the whole
+    # space, so the level-0 block {a, b} is no ball
+    seq = CoverSequence([[{"a", "b"}, {"c"}], [{"a"}, {"b"}, {"c"}]])
+    flat = _table("abc", [("a", "b", 1), ("a", "c", 1), ("b", "c", 1)])
+    monkeypatch.setattr(ultra, "ultrametric_from_covers", lambda seq, ground: flat)
+    with pytest.raises(RuntimeError, match=re.escape(
+            "internal error: {a, b} is a ball or a block, not both")):
+        verify_base_equality(seq)
+
+
+def test_balls_centered_oracle_refuses_non_ultrametrics():
+    # every ball of a is centered, but on the line b - c - d the ball of c at
+    # radius 2 holds b and d, whose balls differ
+    t = _table("abcd", [("a", "b", 3), ("a", "c", 3), ("a", "d", 3),
+                        ("b", "c", 1), ("c", "d", 1), ("b", "d", 2)])
+    assert not balls_centered(t)
+    seq = CoverSequence([[{"a", "b"}, {"c"}], [{"a"}, {"b"}, {"c"}]])
+    assert balls_centered(ultrametric_from_covers(seq, seq.ground))
 
 
 def test_verify_base_equality_three_point():
@@ -803,6 +825,10 @@ def test_cover_sequence_matches_peel_oracle():
                 for i, (a, b) in enumerate(cells) for j, (c, d) in enumerate(cells) if i < j}
         space = FiniteSpace(ids, dist)
         depth = rng.randint(1, 7)
+        if n == 0:  # the empty space is refused
+            with pytest.raises(ValueError, match="^need at least one point$"):
+                build_cover_sequence(space, depth)
+            continue
         assert build_cover_sequence(space, depth).levels == cover_sequence_oracle(space, depth)
 
 
@@ -811,6 +837,10 @@ def test_separation_levels_match_pair_oracle():
     unseparated = 0
     for _ in range(300):
         n = rng.randint(0, 12)
+        if n == 0:  # the empty space is refused
+            with pytest.raises(ValueError, match="^need at least one point$"):
+                _random_covers(rng, n)
+            continue
         full = _random_covers(rng, n)
         names = dict(zip(range(n), _mixed_ids(rng, n)))
         levels = [[[names[x] for x in b] for b in blocks] for blocks in full.levels]
@@ -826,9 +856,8 @@ def test_separation_levels_match_pair_oracle():
         assert {pair: got.d(*pair) for pair in got.pairs()} == want
         assert verify_base_equality(seq) == base_equality_oracle(seq)
     assert 30 < unseparated < 270
-    empty = CoverSequence([[]])
-    assert verify_base_equality(empty) == base_equality_oracle(empty)
-    assert not verify_base_equality(empty).all_passed
+    with pytest.raises(ValueError, match="^need at least one point$"):
+        CoverSequence([[]])
 
 
 def test_two_value_failure_scan_matches_oracle():
@@ -891,6 +920,8 @@ def test_unhashable_ids_are_named():
         covers_from_json({"levels": [[["a", ["x"]]]]})
     with pytest.raises(ValueError, match=r"^point id must be a string or integer: \{\}$"):
         CoverSequence([[["a"], [{}]]])
+    with pytest.raises(ValueError, match=message):
+        DistanceTable("ab", [((["a"], "b"), 1)])
     for levels in ([3], [[3]], ["ab"], [[["a"]], "b"]):
         with pytest.raises(ValueError, match="^expected"):
             covers_from_json({"levels": levels})
