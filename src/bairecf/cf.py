@@ -6,8 +6,9 @@ any integer and every later digit a positive integer.  Canonical words (the
 than one digit, which makes rational -> word one-to-one.  Evaluation and tail
 substitution accept arbitrary valid digit sequences, canonical or not.  Values,
 tails and convergents all come from one integer fold of the convergent
-recurrence (Khinchin, *Continued Fractions*, section 2); a surd's digits from
-the integer (P + sqrt(D))/Q recurrence (Perron), one isqrt per expansion.  Words
+recurrence (Khinchin, *Continued Fractions*, section 2); q_n never shrinks, so a
+value past the digit budget is refused mid-fold.  A surd's digits come from the
+integer (P + sqrt(D))/Q recurrence (Perron), one isqrt per expansion.  Words
 are read, checked and printed by builtin passes (``split``, ``map``, ``min``, a
 %-format) whose per-digit loop runs in C; a Python loop only names a bad digit.
 """
@@ -20,7 +21,8 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from typing import Sequence
 
-from .rational import _format_ints, _parse_ints, check_digit_budget, check_int_budget
+from .rational import (_DIGITS_CAP, MAX_DIGITS, _format_ints, _parse_ints, check_digit_budget,
+                       check_int_budget)
 from .surd import QuadraticSurd
 
 
@@ -92,9 +94,19 @@ def _fold(digits: Sequence[int], state: tuple[int, int, int, int] = _EMPTY):
     return p, q, p0, q0
 
 
+def _fold_word(digits: Sequence[int]):
+    """``_fold(digits)``, refused at the first 512-digit chunk where q reaches 10^MAX_DIGITS."""
+    state = _EMPTY
+    for start in range(0, len(digits), 512):
+        state = _fold(digits[start : start + 512], state)
+        if state[1] >= _DIGITS_CAP:
+            raise ValueError(f"result exceeds the {MAX_DIGITS}-digit budget; use a lower depth")
+    return state
+
+
 def evaluate(w: "CFWord | Sequence[int]") -> Fraction:
-    """Exact value p_n/q_n of a word."""
-    p, q, _, _ = _fold(_as_digits(w))
+    """Exact value p_n/q_n of a word whose q stays within the digit budget."""
+    p, q, _, _ = _fold_word(_as_digits(w))
     return Fraction(p, q)
 
 

@@ -46,12 +46,10 @@ from .baire import (
     psi_inverse,
     psi_map,
 )
-from .cf import (_EMPTY, _convergent_pairs, _fold, expand_rational, expand_surd, format_cf,
-                 parse_cf)
+from .cf import _convergent_pairs, evaluate, expand_rational, expand_surd, format_cf, parse_cf
 from .cover import locate, member_of, verify_cover_properties
 from .homeo import check_ball_image, phi_forward, phi_inverse
-from .rational import (_DIGITS_CAP, _format_ratio, check_digit_budget, format_rational,
-                       parse_rational)
+from .rational import _format_ratio, check_digit_budget, format_rational, parse_rational
 from .surd import format_surd, parse_surd
 from .ultra import (
     _fmt_set,
@@ -155,13 +153,7 @@ def _cmd_cf_expand(args) -> dict:
 
 def _cmd_cf_eval(args) -> dict:
     digits = parse_cf(args.word)
-    # q only grows along a word, so the fold stops at the first chunk past the budget
-    state = _EMPTY
-    for start in range(0, len(digits), 512):
-        state = _fold(digits[start : start + 512], state)
-        if state[1] >= _DIGITS_CAP:
-            break
-    return {"word": list(digits), "value": _format_ratio(*state[:2])}
+    return {"word": list(digits), "value": format_rational(evaluate(digits))}
 
 
 def _cmd_cf_convergents(args) -> dict:
@@ -277,8 +269,7 @@ def _cmd_homeo_fwd(args) -> dict:
 def _cmd_homeo_inv(args) -> dict:
     s = parse_surd(args.surd)
     depth = _capped(args.depth, "depth")
-    q = phi_inverse(s, depth)
-    return {"surd": format_surd(s), "depth": depth, "point": format_point(q)}
+    return {"surd": format_surd(s), "depth": depth, "point": format_point(phi_inverse(s, depth))}
 
 
 def _cmd_homeo_ball(args) -> dict:
@@ -492,7 +483,3 @@ def main(argv=None) -> int:
     if res.err:
         print(res.err, file=sys.stderr)
     return res.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,15 +1,15 @@
 """Nested open rational intervals addressed by continued-fraction words.
 
 A word (a0, ..., an) of length n+1 names a member of the level-n family: the
-open interval between the word's value and the value with its last digit
-bumped by one, that is p_n/q_n and (p_n + p_{n-1})/(q_n + q_{n-1}), both
-read off one fold of the word's digits.  Bumping the last digit raises the
-value at even levels and lowers it at odd levels, so endpoints are normalized
-to lo < hi regardless of the level's parity.  Each level's members are
-pairwise disjoint, children refine their parent, closures of grandchildren sit
-inside the open grandparent (the shared-endpoint caveat lives one level up,
-between parent and child), and member lengths are exactly 1 at level 0, at
-most 1/2 at level 1 and below 1/(n+1) at every level n >= 2.
+open interval between the word's value and the value with its last digit bumped
+by one, that is p_n/q_n and (p_n + p_{n-1})/(q_n + q_{n-1}), both read off one
+fold of the word's digits (``cf``'s, refused past the digit budget).  Bumping
+the last digit raises the value at even levels and lowers it at odd levels, so
+endpoints are normalized to lo < hi regardless of the level's parity.  Each
+level's members are pairwise disjoint, children refine their parent, closures of
+grandchildren sit inside the open grandparent (the shared-endpoint caveat lives
+one level up, between parent and child), and member lengths are exactly 1 at
+level 0, at most 1/2 at level 1 and below 1/(n+1) at every level n >= 2.
 
 A slice is verified by one depth-first walk in Stern-Brocot order (Graham,
 Knuth & Patashnik, *Concrete Mathematics*, 4.5): digits taken downward below
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cf import _EMPTY, _as_digits, _fold, expand_surd
+from .cf import _EMPTY, _as_digits, _fold, _fold_word, expand_surd
 from .rational import format_rational
 from .report import PropertyCheck
 from .surd import QuadraticSurd
@@ -88,7 +88,7 @@ def _interval(state: tuple[int, int, int, int]) -> IntervalQ:
 
 def interval_of(word: Sequence[int]) -> IntervalQ:
     """The open interval named by a digit word; level = len(word) - 1."""
-    return _interval(_fold(_as_digits(word, "word")))
+    return _interval(_fold_word(_as_digits(word, "word")))
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class CoverMember:
 
 def member_of(word: Sequence[int]) -> CoverMember:
     digits = _as_digits(word, "word")
-    return CoverMember(len(digits) - 1, digits, _interval(_fold(digits)))
+    return CoverMember(len(digits) - 1, digits, _interval(_fold_word(digits)))
 
 
 def children(word: Sequence[int], k_max: int) -> list[CoverMember]:
@@ -111,7 +111,7 @@ def children(word: Sequence[int], k_max: int) -> list[CoverMember]:
     digits = _as_digits(word, "word")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    state, level = _fold(digits), len(digits)
+    state, level = _fold_word(digits), len(digits)
     return [CoverMember(level, digits + (k,), _interval(_fold((k,), state)))
             for k in range(1, k_max + 1)]
 
@@ -144,7 +144,7 @@ class CoverReport:
         return {
             **{name: getattr(self, name).as_json() for name in _CHECKS},
             "max_length_by_level": {
-                str(level): str(v) for level, v in sorted(self.max_length_by_level.items())
+                str(n): format_rational(v) for n, v in sorted(self.max_length_by_level.items())
             },
             "words_checked": self.words_checked,
             "passed": self.all_passed,

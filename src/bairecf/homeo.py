@@ -3,10 +3,11 @@
 Forward: a point of the integer-headed sequence space, read to a given depth,
 names a nested open rational interval (its digit word's interval); the interval
 pins the irrational the full sequence denotes.  Inverse: a quadratic surd's
-digit expansion recovers the sequence to any depth.  Open balls of radius 1/n
-around a point fix exactly the first n digits, so they correspond to the
-interval of that length-n word.  That is a theorem (each child interval lies
-inside its parent), so a sampled word escaping the interval is an internal error.
+digit expansion recovers the sequence to any depth, with no interval built
+(``cover.locate`` checks containment).  Open balls of radius 1/n around a point
+fix exactly the first n digits, so they correspond to the interval of that
+length-n word.  That is a theorem (each child interval lies inside its parent),
+so a sampled word escaping the interval is an internal error.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from fractions import Fraction
 from itertools import product
 
 from .baire import Baire2Prefix
-from .cf import _fold
-from .cover import IntervalQ, _interval, interval_of, locate
+from .cf import _fold, _fold_word, expand_surd
+from .cover import IntervalQ, _interval, interval_of
 from .surd import QuadraticSurd
 
 
@@ -44,7 +45,7 @@ def phi_forward(p: Baire2Prefix, depth: int) -> PhiApproximation:
 
 def phi_inverse(x: QuadraticSurd, depth: int) -> Baire2Prefix:
     """The sequence point carrying x's first depth+1 digits (no tail claimed)."""
-    return Baire2Prefix(locate(x, depth).word)
+    return Baire2Prefix(expand_surd(x, depth))
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ def check_ball_image(a: Baire2Prefix, n: int) -> BallImageCheck:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     prefix = a.prefix(n)
-    state = _fold(prefix)
+    state = _fold_word(prefix)
     iv = _interval(state)
     exts = list(product((1, 2, 3), repeat=2))
     for ext in exts:

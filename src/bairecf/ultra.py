@@ -62,7 +62,7 @@ def _unhashable(ids) -> ValueError:
         try:
             hash(x)
         except TypeError:
-            return ValueError(f"point id must be a string or integer: {x!r}")
+            return ValueError(f"point id must be hashable: {x!r}")
 
 
 def _select(items: Sequence, mask: int) -> list:
@@ -88,8 +88,11 @@ class DistanceTable:
 
     def __init__(self, points: Iterable, distances):
         pts = list(points)
-        if len(set(pts)) != len(pts):
-            raise ValueError("duplicate point ids")
+        try:
+            if len(set(pts)) != len(pts):
+                raise ValueError("duplicate point ids")
+        except TypeError:
+            raise _unhashable(pts) from None
         self.points: tuple = tuple(sorted(pts, key=_id_key))
         self.index: dict = {x: i for i, x in enumerate(self.points)}
         index, n = self.index, len(pts)

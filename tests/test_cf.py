@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import accumulate
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from bairecf import (
     interval_of,
     parse_cf,
 )
+from bairecf.cf import _fold, _fold_word
+from bairecf.rational import MAX_DIGITS
 from bairecf.surd import QuadraticSurd
 
 from _oracles import (
@@ -148,6 +151,49 @@ def test_convergents_sqrt2_prefix():
         Fraction(17, 12),
         Fraction(41, 29),
     ]
+
+
+_CAP = 10**MAX_DIGITS
+BUDGET = f"^result exceeds the {MAX_DIGITS}-digit budget; use a lower depth$"
+
+
+def _check_fold_word(digits):
+    """_fold_word is _fold while q stays under 10^MAX_DIGITS, and refuses exactly past it."""
+    state = _fold(digits)
+    if state[1] < _CAP:
+        assert _fold_word(digits) == state
+        assert evaluate(digits) == Fraction(*state[:2])
+        return False
+    with pytest.raises(ValueError, match=BUDGET):
+        _fold_word(digits)
+    with pytest.raises(ValueError, match=BUDGET):
+        evaluate(digits)
+    return True
+
+
+def test_fold_word_matches_fold_and_refuses_once_q_reaches_the_budget():
+    rng = random.Random(4300)
+    refused = 0
+    for _ in range(40):
+        n, top = rng.choice(((10, 9), (600, 9), (4600, 9), (5000, 3), (300, 10**40)))
+        digits = (rng.randint(-10**50, 10**50),) + tuple(rng.randint(1, top) for _ in range(n))
+        refused += _check_fold_word(digits)
+    assert 0 < refused < 40
+    # All-9 words: q first reaches the budget at one length, mid-chunk, p still below it.
+    states = list(accumulate((9,) * 4600, lambda st, a: _fold((a,), st), initial=_fold((0,))))
+    first = next(n for n, st in enumerate(states) if st[1] >= _CAP)
+    assert first % 512 and states[first][0] < _CAP
+    for n in (1, 511, 512, 513, first - 1, first, first + 1, 4600):
+        assert _check_fold_word((0,) + (9,) * n) == (n >= first)
+    # Large digits: [0; 9, a] has q = 9a + 1, exactly 10^MAX_DIGITS at a = (10^MAX_DIGITS - 1)/9.
+    a = (10**MAX_DIGITS - 1) // 9
+    for a2, past in ((a - 1, False), (a, True), (a + 1, True)):
+        assert _check_fold_word((0, 9, a2)) is past
+    assert [_check_fold_word((1, a1)) for a1 in (10**MAX_DIGITS - 1, 10**MAX_DIGITS)] == [
+        False, True]
+    # p past the budget with q under it is left to the printer.
+    assert not _check_fold_word((10**MAX_DIGITS, 2))
+    assert not _check_fold_word((-(10**MAX_DIGITS),))
 
 
 def test_expand_surd_sqrt2():

@@ -10,6 +10,7 @@ from pathlib import Path
 from fractions import Fraction
 from types import SimpleNamespace
 
+import bairecf.cf as cf
 import bairecf.cli as cli
 import bairecf.ultra as ultra
 from bairecf import convergents, evaluate, expand_rational, format_rational, parse_rational
@@ -127,6 +128,7 @@ def test_baire_ball():
     payload = json.loads(res.out)
     assert payload["whole_space"] is True
     assert payload["cylinder"] is None
+    assert run(["baire", "ball", "(1)", "2"]) == cli.CommandResult(0, "whole space")
     res = run(["baire", "ball", "(1,2)", "1/9"])
     assert res.exit_code == 1
     # the cylinder has floor(1/r) entries, capped like every other depth
@@ -344,6 +346,9 @@ def test_max_depth_env(monkeypatch):
     assert res.exit_code == 2
 
 
+BUDGET_ERROR = "error: result exceeds the 4300-digit budget; use a lower depth"
+
+
 def test_results_past_the_digit_budget_exit_one(monkeypatch):
     limit = sys.get_int_max_str_digits()
     monkeypatch.setenv("BAIRECF_MAX_DEPTH", "100000")
@@ -367,12 +372,45 @@ def test_cf_eval_stops_folding_once_past_the_budget(monkeypatch):
         pushed.append(len(digits))
         return _fold(digits, state)
 
-    monkeypatch.setattr(cli, "_fold", fold)
+    monkeypatch.setattr(cf, "_fold", fold)
     res = run(["cf", "eval", "[1; " + ", ".join(["9"] * 65000) + "]"])
-    assert (res.exit_code, res.err) == (
-        1, "error: result exceeds the 4300-digit budget; use a lower depth")
+    assert (res.exit_code, res.err) == (1, BUDGET_ERROR)
     # q passes 10^4300 within the ninth chunk of 512 digits
     assert pushed == [512] * 9
+
+
+def test_deep_commands_stop_folding_once_past_the_budget(monkeypatch):
+    monkeypatch.setenv("BAIRECF_MAX_DEPTH", "100000")
+    pushed = []
+
+    def fold(digits, state=cf._EMPTY):
+        pushed.append(len(digits))
+        return _fold(digits, state)
+
+    # All three fold the word [1; 2, 2, ...] of sqrt(2), whose q first reaches
+    # 10^4300 at the digit counted here, with one push per digit.
+    state, first, cap = _fold((1,)), 1, 10**4300
+    while state[1] < cap:
+        state, first = _fold((2,), state), first + 1
+    assert (first - 1) // 512 + 1 == 22
+    monkeypatch.setattr(cf, "_fold", fold)
+    for argv in (["cover", "locate", "(0+1*sqrt(2))/1", "--level", "100000"],
+                 ["homeo", "fwd", "(1)~(2)", "--depth", "100000"],
+                 ["homeo", "ball", "(1)~(2)", "--n", "100000"]):
+        for mode in ([], ["--json"]):
+            pushed.clear()
+            res = run(argv + mode)
+            assert (res.exit_code, res.out, res.err) == (1, "", BUDGET_ERROR)
+            assert pushed == [512] * 22, argv
+
+
+def test_homeo_inv_reads_deep_digits_with_no_fold(monkeypatch):
+    monkeypatch.setenv("BAIRECF_MAX_DEPTH", "100000")
+    monkeypatch.setattr(cf, "_fold", None)  # a fold would raise TypeError
+    argv = ["homeo", "inv", "(0+1*sqrt(2))/1", "--depth", "100000"]
+    text, as_json = run(argv), run(argv + ["--json"])
+    assert (text.exit_code, text.err, as_json.exit_code, as_json.err) == (0, "", 0, "")
+    assert text.out == json.loads(as_json.out)["point"] == "(1" + ",2" * 100000 + ")"
 
 
 def test_default_depth_cap_is_64():
@@ -550,6 +588,15 @@ def test_cover_verify_failure_exits_three_in_both_modes(monkeypatch):
         "words_checked: 10",
     ]
     assert payload == {"status": "error", **report.as_json()}
+
+
+def test_cover_verify_maxima_past_the_digit_budget_exit_one(monkeypatch):
+    ok = PropertyCheck.ok()
+    report = CoverReport(ok, ok, ok, ok, {0: Fraction(1), 1: Fraction(1, 10**4300)}, 2)
+    monkeypatch.setattr(cli, "verify_cover_properties", lambda *args: report)
+    for mode in ([], ["--json"]):
+        res = run(["cover", "verify", "--max-level", "1", *mode])
+        assert (res.exit_code, res.out, res.err) == (1, "", BUDGET_ERROR)
 
 
 def test_ultra_verify_failure_exits_three_in_both_modes():

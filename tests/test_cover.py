@@ -115,6 +115,21 @@ def test_member_of_and_children_validate_and_fold_once(monkeypatch):
         assert len(checked) == 1
 
 
+def test_children_refuse_a_negative_count():
+    with pytest.raises(ValueError, match=r"^k_max must be >= 0, got -1$"):
+        children((1, 2), -1)
+    assert children((1, 2), 0) == []
+
+
+def test_members_past_the_digit_budget_are_refused():
+    message = r"^result exceeds the 4300-digit budget; use a lower depth$"
+    word = (0,) + (9,) * 4500  # q passes 10^4300 at 4483 digits
+    for f in (interval_of, member_of, lambda w: children(w, 1)):
+        assert f(word[:4000])
+        with pytest.raises(ValueError, match=message):
+            f(word)
+
+
 def test_children_nest_and_are_disjoint():
     words = [(0,), (3,), (-2, 4), (1, 2, 2), (2, 1, 3, 1)]
     for word in words:
@@ -166,6 +181,12 @@ def test_locate_interval_contains_surd():
             assert (m.level, len(m.word)) == (level, level + 1)
             assert m.interval == interval_of(m.word)
             assert m.interval.contains_surd(s), (name, level)
+
+
+def test_locate_names_a_surd_outside_its_member_as_an_internal_error(monkeypatch):
+    monkeypatch.setattr(IntervalQ, "contains_surd", lambda self, s: False)
+    with pytest.raises(RuntimeError, match=r"^internal error: .* escaped its own interval"):
+        locate(NAMED_SURDS["sqrt2"], 3)
 
 
 def test_equal_length_words_have_disjoint_intervals():

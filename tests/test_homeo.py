@@ -11,8 +11,8 @@ from bairecf import (
     InsufficientPrecisionError,
     check_ball_image,
     cylinder_of_ball,
-    expand_surd,
     interval_of,
+    locate,
     phi_forward,
     phi_inverse,
 )
@@ -113,8 +113,25 @@ def test_round_trip_random_periodic_surds():
 
 
 def test_round_trip_digits_match_expansion():
-    for name, x in NAMED_SURDS.items():
-        assert phi_inverse(x, 9).entries == expand_surd(x, 9)
+    rng = random.Random(1618)
+    surds = list(NAMED_SURDS.values()) + [
+        periodic_surd(tuple(rng.randint(-9, 9) if i == 0 else rng.randint(1, 50)
+                            for i in range(rng.randint(1, 4))),
+                      tuple(rng.randint(1, 50) for _ in range(rng.randint(1, 4))))
+        for _ in range(20)]
+    for x in surds:
+        for depth in (0, 1, rng.randint(2, 12), rng.randint(13, 200)):
+            assert phi_inverse(x, depth).entries == locate(x, depth).word
+
+
+def test_deep_intervals_past_the_digit_budget_are_refused():
+    message = r"^result exceeds the 4300-digit budget; use a lower depth$"
+    p = Baire2Prefix((0,), (9,))  # q passes 10^4300 at 4483 digits
+    assert phi_forward(p, 4000).width > 0 and check_ball_image(p, 4000).all_inside
+    with pytest.raises(ValueError, match=message):
+        phi_forward(p, 4500)
+    with pytest.raises(ValueError, match=message):
+        check_ball_image(p, 4500)
 
 
 def test_check_ball_image_examples():

@@ -211,6 +211,12 @@ def test_build_cover_sequence_single_point_and_discrete():
     assert all(blocks == discrete for blocks in seq.levels)
 
 
+def test_build_cover_sequence_names_a_wide_block_as_an_internal_error(monkeypatch):
+    monkeypatch.setattr(ultra, "_balls", lambda table, r: [(1 << len(table.points)) - 1] * 2)
+    with pytest.raises(RuntimeError, match=r"^internal error: level 0 block exceeds diameter 1/2$"):
+        build_cover_sequence(_space("ab", [("a", "b", 1)]), 1)
+
+
 def test_build_cover_sequence_rejects_bad_depth():
     with pytest.raises(ValueError):
         build_cover_sequence(FiniteSpace(["a"], {}), 0)
@@ -911,17 +917,23 @@ def test_json_ids_are_exactly_strings_or_integers():
 
 
 def test_unhashable_ids_are_named():
+    # JSON readers name their own rule; library callers are told about hashability
     message = r"^point id must be a string or integer: \['a'\]$"
     with pytest.raises(ValueError, match=message):
         table_from_json({"points": ["a", "b"], "dist": [[["a"], "b", "1"]]})
     with pytest.raises(ValueError, match=message):
         table_from_json({"points": ["a", "b"], "dist": [["a", ["a"], "1"]]})
+    with pytest.raises(ValueError, match=message):
+        table_from_json({"points": [["a"], "b"], "dist": []})
     with pytest.raises(ValueError, match=r"^point id must be a string or integer: \['x'\]$"):
         covers_from_json({"levels": [[["a", ["x"]]]]})
-    with pytest.raises(ValueError, match=r"^point id must be a string or integer: \{\}$"):
+    message = r"^point id must be hashable: \['a'\]$"
+    with pytest.raises(ValueError, match=r"^point id must be hashable: \{\}$"):
         CoverSequence([[["a"], [{}]]])
     with pytest.raises(ValueError, match=message):
         DistanceTable("ab", [((["a"], "b"), 1)])
+    with pytest.raises(ValueError, match=message):
+        DistanceTable([["a"], "b"], {})
     for levels in ([3], [[3]], ["ab"], [[["a"]], "b"]):
         with pytest.raises(ValueError, match="^expected"):
             covers_from_json({"levels": levels})
