@@ -92,9 +92,8 @@ class _SeqPoint:
     def prefix(self, n: int) -> tuple[int, ...]:
         """Entries at indices 0..n-1."""
         if not self.defined_through(n):
-            raise InsufficientPrecisionError(
-                f"{self} is only known through index {len(self.entries) - 1}, need {n - 1}"
-            )
+            raise InsufficientPrecisionError(f"{self} has no entry at index "
+                                             f"{len(self.entries)} and no tail, need index {n - 1}")
         return tuple(islice(self._stream(), max(n, 0)))
 
     def normal_form(self) -> tuple[tuple[int, ...], tuple[int, ...] | None]:

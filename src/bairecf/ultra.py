@@ -5,10 +5,10 @@ refining partitions (``build_cover_sequence``), read an ultrametric off each pai
 separation level (``ultrametric_from_covers``), verify the strong triangle inequality
 and the open-ball phenomena, re-check that the balls are the blocks plus the whole
 space, and embed the points isometrically into the integer-sequence space
-(``sierpinski_embed``).  The ball phenomena all follow from one fact, that an
-ultrametric ball is centered at each of its members, so they are checked by centering
-at each radius of the ball sweep.  Centering on an ultrametric and base equality on
-separating covers are theorems, so a failure of either is an internal error.
+(``sierpinski_embed``).  A table is an ultrametric exactly when, at each radius of
+the ball sweep, every ball is centered at each of its members, and that one fact
+gives all the ball phenomena, so one sweep decides both.  Base equality on separating
+covers is a theorem, so its failure is an internal error.
 
 Everything from the input to the verdict is an int.  ``table_from_json`` reads each
 ``"p/q"`` as a reduced (numerator, denominator) pair, and a table is one integer matrix
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, combinations, compress, count, islice, pairwise, repeat
 from math import gcd, lcm
-from operator import add, ne, or_
+from operator import add, eq, ne, or_
 
 from .baire import BairePrefix
 from .rational import parse_rational, rational_pairs
@@ -369,25 +369,16 @@ class UltrametricReport:
 def verify_ultrametric(table: DistanceTable) -> UltrametricReport:
     """Strong triangle inequality plus the two-largest-sides-equal property.
 
-    A table is an ultrametric exactly when it equals the minimax path distance
-    of a minimum spanning tree (Gower & Ross 1969): when Prim's tree takes v
-    through p by an edge h, d(v, u) must be max(h, d(p, u)) for each earlier u.
-    O(n^2) work; only a mismatch scans the triples, to name the first failures.
+    An ultrametric on n points is a merge tree, so its table holds at most n
+    distinct entries, 0 and one height per merge (Johnson 1967).  Within that
+    bound the table is an ultrametric exactly when every radius of the ball sweep
+    is centered (see ``_centered``).  Only a failure scans the triples, to name
+    the first failures.
     """
-    m, n = table.rows, len(table.rows)
-    best, parent = (list(m[0]) if n else []), [0] * n  # shortest edge into the tree
-    tree, todo = [0], set(range(1, n))
-    while todo:
-        v = min(todo, key=best.__getitem__)
-        row_v, row_p, h = m[v], m[parent[v]], best[v]
-        if any(row_v[u] != max(h, row_p[u]) for u in tree):
-            return _first_failing_triples(table)
-        tree.append(v)
-        todo.remove(v)
-        for u in todo:
-            if row_v[u] < best[u]:
-                best[u], parent[u] = row_v[u], v
-    return UltrametricReport(PropertyCheck.ok(), PropertyCheck.ok())
+    if (len({v for row in table.rows for v in row}) <= len(table.rows)
+            and all(_centered(balls) for _, balls in _ball_sweep(table))):
+        return UltrametricReport(PropertyCheck.ok(), PropertyCheck.ok())
+    return _first_failing_triples(table)
 
 
 def _first_failing_triples(table: DistanceTable) -> UltrametricReport:
@@ -460,6 +451,16 @@ def _ball_sweep(table: DistanceTable):
         yield r, balls
 
 
+def _centered(balls: list[int]) -> bool:
+    """Each ball is the set of points whose ball it is.  True at every radius exactly
+    on an ultrametric: if d(x, z) > max(d(x, y), d(y, z)), the ball of y at radius
+    d(x, z) holds x and z, while the ball of x does not hold z."""
+    owner: dict = {}  # ball -> the points whose ball it is
+    for i, ball in enumerate(balls):
+        owner[ball] = owner.get(ball, 0) | 1 << i
+    return all(map(eq, owner, owner.values()))
+
+
 def verify_ball_properties(table: DistanceTable) -> BallPropertiesReport:
     """Open-ball behaviour at every radius of the sweep, on an ultrametric table.
 
@@ -467,22 +468,12 @@ def verify_ball_properties(table: DistanceTable) -> BallPropertiesReport:
     radius the distinct balls partition the space, two balls of one radius
     coincide or are disjoint, a closed ball (the open ball at the next radius)
     absorbs the open balls at its members, and balls nest as the radius grows.
-    A table is an ultrametric exactly when every radius is centered, each ball
-    being the set of points whose ball it is, so the sweep re-checks Prim's verdict.
+    ``verify_ultrametric`` decides centering, so its verdict gives all five.
     """
     um = verify_ultrametric(table)
-    if not um.all_passed:
-        skipped = PropertyCheck.fail("not checked: table is not an ultrametric")
-        return BallPropertiesReport(um, *[skipped] * 5)
-    for r, balls in _ball_sweep(table):
-        owner: dict = {}  # ball -> the points whose ball it is
-        for i, ball in enumerate(balls):
-            owner[ball] = owner.get(ball, 0) | 1 << i
-        bad = next(compress(owner, map(ne, owner, owner.values())), None)
-        if bad is not None:
-            raise RuntimeError(f"internal error: radius {table._frac(r)}: ball "
-                               f"{_fmt_set(_select(table.points, bad))} is not centered")
-    return BallPropertiesReport(um, *[PropertyCheck.ok()] * 5)
+    check = (PropertyCheck.ok() if um.all_passed
+             else PropertyCheck.fail("not checked: table is not an ultrametric"))
+    return BallPropertiesReport(um, *[check] * 5)
 
 
 @dataclass(frozen=True)

@@ -322,7 +322,7 @@ NAMED_SURDS = {
 }
 
 
-# --- finite tables: brute-force balls over the midpoint radii ---
+# --- finite tables: brute-force balls over the distance radii ---
 
 
 def triangle_failure(table):
@@ -370,13 +370,20 @@ def ultrametric_scan_oracle(table) -> UltrametricReport:
     return UltrametricReport(strong, isosceles)
 
 
+def distance_radii(table) -> list:
+    """Occurring distances and one radius past the largest.  A midpoint adds no
+    ball: for consecutive distances a < b, d < (a + b)/2 and d <= (a + b)/2 both
+    mean d <= a, the open ball at b and the closed ball at a."""
+    vals = sorted({table.d(x, y) for x in table.points for y in table.points if x != y})
+    return vals + [(vals[-1] if vals else Fraction(0)) + 1]
+
+
 def midpoint_radii(table) -> list:
     """Occurring distances, the midpoints between consecutive ones (from zero)
     and one radius past the largest."""
-    vals = sorted({table.d(x, y) for x in table.points for y in table.points if x != y})
-    with_zero = [Fraction(0)] + vals
-    mids = [(a + b) / 2 for a, b in zip(with_zero, with_zero[1:])]
-    return sorted(set(vals) | set(mids)) + [with_zero[-1] + 1]
+    *vals, past = distance_radii(table)
+    mids = [(a + b) / 2 for a, b in zip([Fraction(0)] + vals, vals)]
+    return sorted(set(vals) | set(mids)) + [past]
 
 
 def open_ball(table, x, r) -> frozenset:
@@ -394,7 +401,7 @@ def ball_system(table, radii) -> set:
 
 def ball_properties_hold(table) -> bool:
     """Strong triangle inequality, then the open-ball phenomena at every
-    midpoint radius: same-radius balls equal or disjoint, every member a
+    distance radius: same-radius balls equal or disjoint, every member a
     center, closed balls absorb the open balls of their members, and balls
     nest across consecutive radii."""
     pts = table.points
@@ -404,7 +411,7 @@ def ball_properties_hold(table) -> bool:
                 if table.d(x, y) > max(table.d(x, z), table.d(z, y)):
                     return False
     prev = None
-    for r in midpoint_radii(table):
+    for r in distance_radii(table):
         ball = {x: open_ball(table, x, r) for x in pts}
         for x in pts:
             for y in pts:
@@ -564,9 +571,9 @@ def separation_oracle(seq, ground) -> dict:
 
 
 def balls_centered(table) -> bool:
-    """At every midpoint radius, each open ball is the ball of each of its members:
+    """At every distance radius, each open ball is the ball of each of its members:
     true exactly on ultrametrics."""
-    for r in midpoint_radii(table):
+    for r in distance_radii(table):
         ball = {x: open_ball(table, x, r) for x in table.points}
         if any(ball[y] != ball[x] for x in table.points for y in ball[x]):
             return False
@@ -670,7 +677,7 @@ def prefix_oracle(p, n: int) -> tuple:
     """Entries at indices 0..n-1, one value_at at a time."""
     if not p.defined_through(n):
         raise InsufficientPrecisionError(
-            f"{p} is only known through index {len(p.entries) - 1}, need {n - 1}"
+            f"{p} has no entry at index {len(p.entries)} and no tail, need index {n - 1}"
         )
     return tuple(p.value_at(i) for i in range(n))
 

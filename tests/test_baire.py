@@ -53,8 +53,13 @@ def test_prefix_extraction():
     assert p.prefix(1) == (3,)
     assert p.prefix(4) == (3, 2, 1, 2)
     q = BairePrefix((3, 1, 4))
-    with pytest.raises(InsufficientPrecisionError):
+    with pytest.raises(InsufficientPrecisionError,
+                       match=r"^\(3,1,4\) has no entry at index 3 and no tail, need index 3$"):
         q.prefix(4)
+    with pytest.raises(InsufficientPrecisionError,
+                       match=r"^\(\) has no entry at index 0 and no tail, need index 1$"):
+        BairePrefix(()).prefix(2)
+    assert BairePrefix(()).prefix(0) == ()
 
 
 def test_normal_form_identifies_equal_points():

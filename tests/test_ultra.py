@@ -29,7 +29,6 @@ from bairecf import (
     Distance,
     DistanceTable,
     FiniteSpace,
-    PropertyCheck,
     UnseparatedPairError,
     baire_distance,
     build_cover_sequence,
@@ -337,17 +336,6 @@ def test_verify_ball_properties_reports_precondition():
     assert "not checked" in rep.nesting.counterexample
 
 
-def test_uncentered_radius_after_a_passing_verdict_is_an_internal_error(monkeypatch):
-    # a-b = a-c = 1 < b-c = 2 breaks the strong triangle inequality; with the verdict
-    # forced to pass, the ball of a at radius 2 holds b and c, whose balls differ
-    t = _table("abc", [("a", "b", 1), ("a", "c", 1), ("b", "c", 2)])
-    monkeypatch.setattr(ultra, "verify_ultrametric",
-                        lambda table: ultra.UltrametricReport(*[PropertyCheck.ok()] * 2))
-    with pytest.raises(RuntimeError, match=re.escape(
-            "internal error: radius 2: ball {a, b, c} is not centered")):
-        verify_ball_properties(t)
-
-
 def test_base_equality_mismatch_is_an_internal_error(monkeypatch):
     # with a, b and c all at distance 1 the balls are the singletons and the whole
     # space, so the level-0 block {a, b} is no ball
@@ -416,6 +404,21 @@ def _merge_tree_table(rng, n):
     """Ultrametric of a random merge tree: clusters join at non-decreasing heights."""
     dist = _tree_heights(rng, range(n), lambda: Fraction(rng.randint(1, 4), rng.randint(1, 4)))
     return DistanceTable(range(n), dist)
+
+
+def _two_sided_tree(n):
+    """Ultrametric over range(n), n >= 8, with the n - 1 distinct heights 1..n-1: 0 and 2
+    join at 1; each side, 3..n//2-1 and then 1, n//2..n-1, gains one point per height;
+    {0, 2} joins its side at n - 2, and the two sides join at n - 1."""
+    left, right = list(range(3, n // 2)), [1, *range(n // 2, n)]
+    dist, h = {(0, 2): 1}, 1
+    for side in (left, right):
+        for k in range(1, len(side)):
+            h += 1
+            dist.update({(x, side[k]): h for x in side[:k]})
+    dist.update({(x, y): n - 2 for x in (0, 2) for y in left})
+    dist.update({(x, y): n - 1 for x in (0, 2, *left) for y in right})
+    return dist
 
 
 def _random_covers(rng, n):
@@ -585,6 +588,8 @@ def test_reports_match_fraction_oracles():
         centered = all(balls[j] == ball for _, balls in _ball_sweep(table)
                        for ball in balls for j in _select(range(len(balls)), ball))
         assert centered == um.all_passed, (kind, table.as_json())
+        # a merge tree has one height per merge, the bound the verdict counts against
+        assert not um.all_passed or len(table.values()) <= max(len(ids) - 1, 0)
         verdicts[kind].add(um.all_passed)
         bad = triangle_failure(table)
         if bad is None:
@@ -643,6 +648,35 @@ def test_verify_ultrametric_tied_and_tiny_tables():
     low = DistanceTable(range(4), dist)
     assert verify_ultrametric(low) == ultrametric_scan_oracle(low)
     assert not verify_ultrametric(low).all_passed
+    # d(0, 2) raised to the top height: n - 2 distinct distances, and only the
+    # top radius is not centered, so the sweep runs to it before the triple scan
+    late = DistanceTable(range(30), {**_two_sided_tree(30), (0, 2): 29})
+    centered = [ultra._centered(balls) for _, balls in _ball_sweep(late)]
+    assert centered.index(False) == len(centered) - 2 and centered[-1]
+    assert verify_ultrametric(late) == ultrametric_scan_oracle(late)
+    assert verify_ball_properties(late) == ball_report_oracle(late)
+    assert not verify_ultrametric(late).all_passed
+
+
+def test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan(monkeypatch):
+    # d(0, 1) raised above every height of a distinct-height merge tree: n distinct
+    # distances, one more than a merge tree has, so no sweep is needed to refuse it
+    def refuse(table):
+        raise AssertionError("not reached")
+
+    for n in (8, 9, 30):
+        tree = _two_sided_tree(n)
+        raised = DistanceTable(range(n), {**tree, (0, 1): n})
+        assert len(raised.values()) == n
+        with monkeypatch.context() as patch:
+            patch.setattr(ultra, "_ball_sweep", refuse)
+            assert verify_ultrametric(raised) == ultrametric_scan_oracle(raised)
+            assert not verify_ultrametric(raised).all_passed
+        # the unraised tree is within the bound, and the sweep alone passes it: the
+        # triple scan would mask a sweep that refuses an ultrametric
+        with monkeypatch.context() as patch:
+            patch.setattr(ultra, "_first_failing_triples", refuse)
+            assert verify_ultrametric(DistanceTable(range(n), tree)).all_passed
 
 
 def _primes_below(limit):

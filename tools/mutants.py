@@ -1,0 +1,188 @@
+"""Mutants of the package, each with the tests that must catch it.
+
+Stdlib only; pytest must be importable by the interpreter that runs it:
+
+    python tools/mutants.py           # run every mutant; exit 1 if one survives
+    python tools/mutants.py --check   # only check that every fragment occurs once
+
+A mutant names a file under ``src/bairecf/``, an exact source fragment, its
+replacement and the pytest node ids that must fail once the fragment is
+replaced.  For each mutant the script copies ``src/`` to a temporary
+directory, refuses a fragment that does not occur exactly once there, applies
+the replacement and runs the named tests in a subprocess with ``PYTHONPATH``
+on the copy.  The mutant is caught when every named test fails; otherwise it
+survives.  The named tests first run once on an unmutated copy, where they
+must all pass.
+
+``EQUIVALENT`` lists mutants that cannot change any answer, each with the
+argument why.  They are not run, but their fragments are checked like the
+others, so a later reader does not re-run them as survivors.  A change that
+removes a fragment replaces its mutant in the same change.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+ULTRA = "tests/test_ultra.py::"
+CLI = "tests/test_cli.py::"
+
+
+class Mutant(NamedTuple):
+    path: str  # under src/bairecf/
+    fragment: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+class Equivalent(NamedTuple):
+    path: str
+    fragment: str
+    replacement: str
+    argument: str
+
+
+MUTANTS = [
+    # the ultrametric verdict: the distinct-entry count, then the centered sweep
+    Mutant("ultra.py",
+           "if (len({v for row in table.rows for v in row}) <= len(table.rows)\n            and ",
+           "if (", (ULTRA + "test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan",)),
+    Mutant("ultra.py", "for v in row}) <= len(table.rows)", "for v in row}) < len(table.rows)",
+           (ULTRA + "test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan",)),
+    Mutant("ultra.py", "return all(map(eq, owner, owner.values()))", "return True",
+           (ULTRA + "test_verify_ultrametric_tied_and_tiny_tables",
+            ULTRA + "test_two_value_failure_scan_matches_oracle",
+            ULTRA + "test_reports_match_fraction_oracles")),
+    # a sweep that refuses an ultrametric sends it to the triple scan, which passes it:
+    # only the test that forbids the scan on a passing table sees the mutant
+    Mutant("ultra.py", "owner[ball] = owner.get(ball, 0) | 1 << i", "owner[ball] = 1 << i",
+           (ULTRA + "test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan",)),
+    # base equality, the empty space and unhashable points
+    Mutant("ultra.py",
+           '        raise RuntimeError(f"internal error: {odd} is a ball or a block, not both")',
+           "        pass", (ULTRA + "test_base_equality_mismatch_is_an_internal_error",)),
+    Mutant("ultra.py", "if balls != base:", "if balls - base:",
+           (ULTRA + "test_base_equality_mismatch_is_an_internal_error",)),
+    Mutant("ultra.py", '    if not points:\n        raise ValueError("need at least one point")\n',
+           "", (CLI + "test_empty_space_exits_one_in_every_file_command",
+                ULTRA + "test_table_from_json_matches_fraction_oracle")),
+    Mutant("ultra.py",
+           '        if not self.ground:\n            raise ValueError("need at least one point")\n',
+           "", (CLI + "test_empty_space_exits_one_in_every_file_command",
+                ULTRA + "test_cover_sequence_matches_peel_oracle",
+                ULTRA + "test_separation_levels_match_pair_oracle")),
+    Mutant("ultra.py", "        except TypeError:\n            raise _unhashable(pts) from None",
+           "        except KeyError:\n            raise _unhashable(pts) from None",
+           (ULTRA + "test_unhashable_ids_are_named",)),
+    # the ball image of statement 5
+    Mutant("homeo.py", '            raise RuntimeError(f"internal error: word {prefix + ext} leaves {iv}")',
+           "            pass", ("tests/test_homeo.py::test_escaping_sample_is_an_internal_error",)),
+    # the one budgeted fold
+    Mutant("cf.py", "        if state[1] >= _DIGITS_CAP:\n            raise ValueError(f\"result exceeds "
+           "the {MAX_DIGITS}-digit budget; use a lower depth\")\n", "",
+           ("tests/test_cf.py::test_fold_word_matches_fold_and_refuses_once_q_reaches_the_budget",
+            CLI + "test_cf_eval_stops_folding_once_past_the_budget",
+            CLI + "test_deep_commands_stop_folding_once_past_the_budget",
+            "tests/test_cover.py::test_members_past_the_digit_budget_are_refused",
+            "tests/test_homeo.py::test_deep_intervals_past_the_digit_budget_are_refused")),
+    Mutant("cf.py", "if state[1] >= _DIGITS_CAP:", "if state[1] > _DIGITS_CAP:",
+           ("tests/test_cf.py::test_fold_word_matches_fold_and_refuses_once_q_reaches_the_budget",)),
+    Mutant("cf.py", "if state[1] >= _DIGITS_CAP:", "if state[0] >= _DIGITS_CAP:",
+           ("tests/test_cf.py::test_fold_word_matches_fold_and_refuses_once_q_reaches_the_budget",)),
+    Mutant("homeo.py", "return Baire2Prefix(expand_surd(x, depth))",
+           "from .cover import locate\n    return Baire2Prefix(locate(x, depth).word)",
+           (CLI + "test_homeo_inv_reads_deep_digits_with_no_fold",)),
+    Mutant("cover.py", "str(n): format_rational(v) for n, v in", "str(n): str(v) for n, v in",
+           (CLI + "test_cover_verify_maxima_past_the_digit_budget_exit_one",)),
+    # CLI caps and argument checks
+    Mutant("cli.py", '_capped(r.denominator // r.numerator, "cylinder length")',
+           '_capped(r.denominator // r.numerator + 1, "cylinder length")',
+           (CLI + "test_baire_ball",)),
+    Mutant("cli.py", '_capped(r.denominator // r.numerator, "cylinder length")',
+           '_capped(r.denominator // r.numerator - 1, "cylinder length")',
+           (CLI + "test_baire_ball",)),
+    Mutant("cli.py", '    if level < 0:\n        raise ValueError(f"level must be >= 0, got {level}")\n',
+           "", (CLI + "test_cover_show_and_locate",)),
+    Mutant("cli.py", '        check_digit_budget(text, f"{path}: JSON integer")\n', "",
+           (CLI + "test_input_integers_past_the_digit_budget_exit_one",)),
+    # an empty partial point names index 0
+    Mutant("baire.py", 'f"{len(self.entries)} and no tail', 'f"{len(self.entries) - 1} and no tail',
+           ("tests/test_baire.py::test_prefix_extraction",
+            "tests/test_front_end.py::test_first_difference_and_prefix_match_the_oracle")),
+]
+
+EQUIVALENT = [
+    Equivalent("ultra.py", "all(_centered(balls) for _, balls in _ball_sweep(table))",
+               "all(_centered(balls) for _, balls in islice(_ball_sweep(table), 1, None))",
+               "the first radius is the least positive distance, whose open balls are the "
+               "singletons, and singletons are centered in every table"),
+    Equivalent("ultra.py", "all(_centered(balls) for _, balls in _ball_sweep(table))",
+               "all(_centered(balls) for _, balls in list(_ball_sweep(table))[:-1])",
+               "the last radius is past the largest distance, where every ball is the whole "
+               "space, and the whole space is centered in every table"),
+]
+
+
+def occurrences(src: Path, m: Mutant | Equivalent) -> int:
+    return (src / "bairecf" / m.path).read_text(encoding="utf-8").count(m.fragment)
+
+
+def _copy(tmp: str) -> Path:
+    dest = Path(tmp) / "src"
+    shutil.copytree(SRC, dest, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return dest
+
+
+def _failed(src: Path, tests) -> set[str]:
+    """The named tests that fail with the package imported from src."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+                          *tests], cwd=ROOT, env=env, capture_output=True, text=True)
+    if run.returncode not in (0, 1):
+        raise SystemExit(f"pytest exited {run.returncode}:\n{run.stdout}{run.stderr}")
+    return set(re.findall(r"^FAILED (\S+)", run.stdout, re.M))
+
+
+def main(argv: list[str]) -> int:
+    misplaced = [m for m in MUTANTS + EQUIVALENT if occurrences(SRC, m) != 1]
+    for m in misplaced:
+        print(f"{m.path}: fragment occurs {occurrences(SRC, m)} times: {m.fragment!r}")
+    if misplaced or argv == ["--check"]:
+        print(f"{len(MUTANTS) + len(EQUIVALENT) - len(misplaced)} of "
+              f"{len(MUTANTS) + len(EQUIVALENT)} fragments occur exactly once")
+        return 1 if misplaced else 0
+    start = time.monotonic()
+    with tempfile.TemporaryDirectory() as tmp:
+        broken = _failed(_copy(tmp), sorted({t for m in MUTANTS for t in m.tests}))
+    if broken:
+        print("fail before any mutant: " + ", ".join(sorted(broken)))
+        return 1
+    survived = 0
+    for i, m in enumerate(MUTANTS):
+        with tempfile.TemporaryDirectory() as tmp:
+            target = _copy(tmp) / "bairecf" / m.path
+            text = target.read_text(encoding="utf-8")
+            if text.count(m.fragment) != 1:
+                raise SystemExit(f"mutant {i}: fragment does not occur exactly once")
+            target.write_text(text.replace(m.fragment, m.replacement), encoding="utf-8")
+            missed = set(m.tests) - _failed(target.parent.parent, m.tests)
+        survived += bool(missed)
+        verdict = "SURVIVED, passing " + ", ".join(sorted(missed)) if missed else "caught"
+        print(f"mutant {i} ({m.path}: {m.fragment.strip()[:50]!r}): {verdict}")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants caught, "
+          f"{len(EQUIVALENT)} recorded as equivalent, in {time.monotonic() - start:.0f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
