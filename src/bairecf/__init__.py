@@ -5,131 +5,47 @@ expansions of rationals and quadratic surds, the rational interval family the
 words index, first-difference distances on integer sequence spaces, and a
 finite-space pipeline from metric tables to refining covers, ultrametrics,
 and digit-stream embeddings.
+
+Each public name is listed once, under the module that defines it, and that
+module is imported when one of its names is first read (PEP 562).
 """
 
-from .baire import (
-    WHOLE_SPACE,
-    Baire2Prefix,
-    BairePrefix,
-    Distance,
-    InsufficientPrecisionError,
-    baire_distance,
-    cylinder_of_ball,
-    first_difference,
-    format_point,
-    parse_point,
-    psi_inverse,
-    psi_map,
-)
-from .cf import (
-    CFWord,
-    convergents,
-    evaluate,
-    evaluate_with_tail,
-    expand_rational,
-    expand_surd,
-    format_cf,
-    parse_cf,
-)
-from .cover import (
-    CoverMember,
-    CoverReport,
-    IntervalQ,
-    children,
-    interval_of,
-    locate,
-    member_of,
-    verify_cover_properties,
-)
-from .homeo import (
-    BallImageCheck,
-    PhiApproximation,
-    check_ball_image,
-    phi_forward,
-    phi_inverse,
-)
-from .rational import Rational, euclid_div, format_rational, parse_rational
-from .report import PropertyCheck
-from .surd import Ordering, QuadraticSurd, format_surd, parse_surd
-from .ultra import (
-    BallPropertiesReport,
-    BaseEqualityReport,
-    CoverSequence,
-    DistanceTable,
-    FiniteSpace,
-    UltrametricReport,
-    UnseparatedPairError,
-    build_cover_sequence,
-    covers_from_json,
-    disjointify,
-    sierpinski_embed,
-    table_from_json,
-    ultrametric_from_covers,
-    verify_ball_properties,
-    verify_base_equality,
-    verify_ultrametric,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "Rational",
-    "euclid_div",
-    "parse_rational",
-    "format_rational",
-    "Ordering",
-    "QuadraticSurd",
-    "parse_surd",
-    "format_surd",
-    "CFWord",
-    "expand_rational",
-    "evaluate",
-    "evaluate_with_tail",
-    "convergents",
-    "expand_surd",
-    "parse_cf",
-    "format_cf",
-    "BairePrefix",
-    "Baire2Prefix",
-    "Distance",
-    "InsufficientPrecisionError",
-    "first_difference",
-    "baire_distance",
-    "cylinder_of_ball",
-    "WHOLE_SPACE",
-    "psi_map",
-    "psi_inverse",
-    "parse_point",
-    "format_point",
-    "IntervalQ",
-    "CoverMember",
-    "CoverReport",
-    "interval_of",
-    "member_of",
-    "children",
-    "locate",
-    "verify_cover_properties",
-    "PhiApproximation",
-    "BallImageCheck",
-    "phi_forward",
-    "phi_inverse",
-    "check_ball_image",
-    "PropertyCheck",
-    "DistanceTable",
-    "FiniteSpace",
-    "UnseparatedPairError",
-    "CoverSequence",
-    "UltrametricReport",
-    "BallPropertiesReport",
-    "BaseEqualityReport",
-    "disjointify",
-    "build_cover_sequence",
-    "ultrametric_from_covers",
-    "verify_ultrametric",
-    "verify_ball_properties",
-    "verify_base_equality",
-    "sierpinski_embed",
-    "table_from_json",
-    "covers_from_json",
-]
+_EXPORTS = {
+    "rational": ("Rational", "euclid_div", "parse_rational", "format_rational"),
+    "surd": ("Ordering", "QuadraticSurd", "parse_surd", "format_surd"),
+    "cf": ("CFWord", "expand_rational", "evaluate", "evaluate_with_tail", "convergents",
+           "expand_surd", "parse_cf", "format_cf"),
+    "baire": ("BairePrefix", "Baire2Prefix", "Distance", "InsufficientPrecisionError",
+              "first_difference", "baire_distance", "cylinder_of_ball", "WHOLE_SPACE",
+              "psi_map", "psi_inverse", "parse_point", "format_point"),
+    "cover": ("IntervalQ", "CoverMember", "CoverReport", "interval_of", "member_of",
+              "children", "locate", "verify_cover_properties"),
+    "homeo": ("PhiApproximation", "BallImageCheck", "phi_forward", "phi_inverse",
+              "check_ball_image"),
+    "report": ("PropertyCheck",),
+    "ultra": ("DistanceTable", "FiniteSpace", "UnseparatedPairError", "CoverSequence",
+              "UltrametricReport", "BallPropertiesReport", "BaseEqualityReport",
+              "disjointify", "build_cover_sequence", "ultrametric_from_covers",
+              "verify_ultrametric", "verify_ball_properties", "verify_base_equality",
+              "sierpinski_embed", "table_from_json", "covers_from_json"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(__getattr__(_MODULE_OF[name]), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

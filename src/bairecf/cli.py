@@ -49,7 +49,8 @@ from .baire import (
 from .cf import _convergent_pairs, evaluate, expand_rational, expand_surd, format_cf, parse_cf
 from .cover import locate, member_of, verify_cover_properties
 from .homeo import check_ball_image, phi_forward, phi_inverse
-from .rational import _format_ratio, check_digit_budget, format_rational, parse_rational
+from .rational import (_DIGITS_CAP, _format_ratio, check_digit_budget, format_rational,
+                       parse_rational)
 from .surd import format_surd, parse_surd
 from .ultra import (
     _fmt_set,
@@ -228,10 +229,7 @@ def _cmd_cover_show(args) -> dict:
 
 def _cmd_cover_locate(args) -> dict:
     s = parse_surd(args.surd)
-    level = _capped(args.level, "level")
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    m = locate(s, level)
+    m = locate(s, _capped(args.level, "level"))
     return {"surd": format_surd(s), "level": m.level, "word": list(m.word), **_ends(m.interval)}
 
 
@@ -246,6 +244,14 @@ def _cmd_cover_verify(args) -> dict:
                 f"slice of at least {words} words exceeds the budget {MAX_COVER_WORDS}"
             )
         per_level *= max(args.digit_max, 0)
+    if args.a0_lo <= args.a0_hi and args.digit_max >= 1:
+        # The deepest level's longest member has its later digits all 1 and length
+        # 1/(F(L+1) F(L+2)): refuse it before the walk if it cannot print.  Once
+        # F(L+2) alone is past the budget the product is too, so the sum stops.
+        f, g, level = 1, 1, 0
+        while level < max_level and g < _DIGITS_CAP:
+            f, g, level = g, f + g, level + 1
+        _format_ratio(1, f * g)
     report = verify_cover_properties(max_level, (args.a0_lo, args.a0_hi), args.digit_max)
     return {"status": _status(report.all_passed), **report.as_json()}
 

@@ -118,6 +118,8 @@ def children(word: Sequence[int], k_max: int) -> list[CoverMember]:
 
 def locate(x: QuadraticSurd, level: int) -> CoverMember:
     """The level's unique member whose interval holds x, by digit expansion."""
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     m = member_of(expand_surd(x, level))
     if not m.interval.contains_surd(x):
         raise RuntimeError(f"internal error: {x} escaped its own interval {m.interval}")

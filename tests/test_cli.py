@@ -194,6 +194,28 @@ def test_cover_verify_word_budget(monkeypatch):
     assert "verifier reached" in run(["cover", "verify", "--digit-max", str(-(10**40))]).err
 
 
+def test_cover_verify_refuses_unprintable_maxima_before_the_walk(monkeypatch):
+    # the longest member at level L has length 1/(F(L+1) F(L+2)), which first
+    # reaches 4301 digits at level 10288
+    calls = []
+
+    def reached(*args):
+        calls.append(args)
+        raise ValueError("verifier reached")
+
+    monkeypatch.setattr(cli, "verify_cover_properties", reached)
+    monkeypatch.setenv("BAIRECF_MAX_DEPTH", "100000")
+    narrow = ["cover", "verify", "--a0-lo", "0", "--a0-hi", "0", "--digit-max", "1"]
+    for mode in ([], ["--json"]):
+        res = run([*narrow, "--max-level", "10288", *mode])
+        assert (res.exit_code, res.out, res.err) == (1, "", BUDGET_ERROR), mode
+    assert calls == []
+    assert run([*narrow, "--max-level", "10287"]).err == "error: verifier reached"
+    assert calls == [(10287, (0, 0), 1)]
+    # a slice the verifier refuses still reaches its range checks
+    assert run([*narrow, "--max-level", "10288", "--a0-lo", "1"]).err == "error: verifier reached"
+
+
 def test_ultra_point_budget(tmp_path):
     table = tmp_path / "table.json"
     table.write_text(json.dumps({"points": list(range(801)), "dist": []}))

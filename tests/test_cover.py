@@ -172,6 +172,8 @@ def test_locate_examples():
     assert locate(NAMED_SURDS["sqrt3"], 3).word == (1, 1, 2, 1)
     assert locate(NAMED_SURDS["golden"], 4).word == (1, 1, 1, 1, 1)
     assert locate(NAMED_SURDS["minus_sqrt2"], 2).word == (-2, 1, 1)
+    with pytest.raises(ValueError, match=r"^level must be >= 0, got -1$"):
+        locate(NAMED_SURDS["sqrt2"], -1)
 
 
 def test_locate_interval_contains_surd():

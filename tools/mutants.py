@@ -36,6 +36,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 ULTRA = "tests/test_ultra.py::"
 CLI = "tests/test_cli.py::"
+EXPORTS = "tests/test_exports.py::"
+UNPRINTABLE = "test_cover_verify_refuses_unprintable_maxima_before_the_walk"
 
 
 class Mutant(NamedTuple):
@@ -104,6 +106,14 @@ MUTANTS = [
            (CLI + "test_homeo_inv_reads_deep_digits_with_no_fold",)),
     Mutant("cover.py", "str(n): format_rational(v) for n, v in", "str(n): str(v) for n, v in",
            (CLI + "test_cover_verify_maxima_past_the_digit_budget_exit_one",)),
+    Mutant("cover.py",
+           '    if level < 0:\n        raise ValueError(f"level must be >= 0, got {level}")\n',
+           "", (CLI + "test_cover_show_and_locate", "tests/test_cover.py::test_locate_examples")),
+    # cover verify refuses maxima that cannot print before it walks
+    Mutant("cli.py", "while level < max_level and g < _DIGITS_CAP:",
+           "while level < max_level and g > _DIGITS_CAP:", (CLI + UNPRINTABLE,)),
+    Mutant("cli.py", "f, g, level = 1, 1, 0", "f, g, level = 0, 1, 0", (CLI + UNPRINTABLE,)),
+    Mutant("cli.py", "        _format_ratio(1, f * g)\n", "", (CLI + UNPRINTABLE,)),
     # CLI caps and argument checks
     Mutant("cli.py", '_capped(r.denominator // r.numerator, "cylinder length")',
            '_capped(r.denominator // r.numerator + 1, "cylinder length")',
@@ -111,10 +121,15 @@ MUTANTS = [
     Mutant("cli.py", '_capped(r.denominator // r.numerator, "cylinder length")',
            '_capped(r.denominator // r.numerator - 1, "cylinder length")',
            (CLI + "test_baire_ball",)),
-    Mutant("cli.py", '    if level < 0:\n        raise ValueError(f"level must be >= 0, got {level}")\n',
-           "", (CLI + "test_cover_show_and_locate",)),
     Mutant("cli.py", '        check_digit_budget(text, f"{path}: JSON integer")\n', "",
            (CLI + "test_input_integers_past_the_digit_budget_exit_one",)),
+    # the export map
+    Mutant("__init__.py", '"sierpinski_embed", ', "",
+           (EXPORTS + "test_every_public_name_is_its_modules_object_once",
+            EXPORTS + "test_readme_quick_tour_runs")),
+    Mutant("__init__.py",
+           "        raise AttributeError(f\"module {__name__!r} has no attribute {name!r}\")",
+           "        return None", (EXPORTS + "test_an_unknown_name_raises_attribute_error",)),
     # an empty partial point names index 0
     Mutant("baire.py", 'f"{len(self.entries)} and no tail', 'f"{len(self.entries) - 1} and no tail',
            ("tests/test_baire.py::test_prefix_extraction",
