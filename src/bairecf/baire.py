@@ -43,7 +43,7 @@ def _require_at_least(block: tuple, lo: int, what: str, start: int = 0) -> None:
 
 def _primitive_block(block: tuple[int, ...]) -> tuple[int, ...]:
     n = len(block)
-    for p in range(1, n + 1):
+    for p in range(1, n):
         if n % p == 0 and block == block[:p] * (n // p):
             return block[:p]
     return block

@@ -17,10 +17,12 @@ verification that finds a violation says so with ``"status": "error"``.  The
 text form is a view of that payload, and ``run`` renders it only without
 --json, inside the same error handling as the handler.
 
-``run`` reuses one argparse tree per process, built on first use (parsing
-reads no environment; the cap is read as each command runs).  Handlers and
-views are bound into it then, so patch the module functions the handlers
-call, not ``_cmd_*``.
+Each leaf is one row of ``_COMMANDS``: group, name, help, arguments, handler
+and view.  ``build_parser`` builds the argparse tree from that table, and
+``run`` reuses one tree per process, built on first use (parsing reads no
+environment; the cap is read as each command runs).  The table binds the
+handlers and views into the tree, so patch the library names the handlers
+call on this module, such as ``verify_cover_properties``, not ``_cmd_*``.
 """
 
 from __future__ import annotations
@@ -344,117 +346,100 @@ def _text_embed(p: dict) -> str:
     return "\n".join(f"{x} -> {format_point(BairePrefix(e))}" for x, e in p["embedding"])
 
 
-def _leaf(p: _Parser, handler, view) -> None:
-    """Finish a leaf command: --json last, then its payload handler and text view."""
-    p.add_argument("--json", action="store_true", help="print a single-line JSON payload")
-    p.set_defaults(handler=handler, view=view)
+# Arguments shared by several leaves, as (name, add_argument keywords).  Leaves that
+# take _RATIONAL also read a leading minus followed by digits as a value.
+_RATIONAL = ("value", {"help": 'rational, like "355/113"'})
+_SPACE = ("--space", {"choices": ("n", "z"), "default": "n",
+                      "help": "point space: n = non-negative entries, z = integer head then >= 1"})
+_SPACE_FILE = (("space", {"help": "JSON file with points and distances"}),
+               ("--depth", {"type": int, "default": 4, "help": "number of cover levels"}))
 
+# Top-level groups in help order; a leaf whose group is None sits at the top level.
+_GROUPS = {"cf": "finite continued-fraction words", "surd": "quadratic surds",
+           "baire": "integer sequence space", "cover": "rational interval family",
+           "homeo": "sequences <-> irrationals dictionary",
+           "ultra": "finite metric space laboratory"}
 
-def _add_space(p: _Parser) -> None:
-    p.add_argument(
-        "--space",
-        choices=("n", "z"),
-        default="n",
-        help="point space: n = non-negative entries, z = integer head then >= 1",
-    )
+# One row per leaf: group, name, help, arguments, payload handler, text view.
+_COMMANDS = (
+    ("cf", "expand", "canonical word of a rational", (_RATIONAL,), _cmd_cf_expand,
+     lambda p: format_cf(p["word"])),
+    ("cf", "eval", "exact value of a word", (("word", {"help": 'word, like "[3; 7, 16]"'}),),
+     _cmd_cf_eval, itemgetter("value")),
+    ("cf", "convergents", "prefix values of a rational's word", (_RATIONAL,),
+     _cmd_cf_convergents, lambda p: "\n".join(p["convergents"])),
+    ("surd", "expand", "digit expansion of a surd", (
+        ("surd", {"help": 'surd, like "(0+1*sqrt(2))/1"'}),
+        ("--depth", {"type": int, "default": 10, "help": "digits after the integer part"}),
+    ), _cmd_surd_expand, lambda p: format_cf(p["word"])),
+    ("baire", "dist", "first-difference distance of two points", (
+        ("p", {"help": 'point, like "(1,2,3)" or "(0)~(2,1)"'}), ("q", {"help": "point"}),
+        ("--bound", {"type": int, "default": 32, "help": "indices to scan"}), _SPACE,
+    ), _cmd_baire_dist, lambda p: f"{p['kind']} {p['value']}"),
+    ("baire", "ball", "cylinder equal to an open ball", (
+        ("point", {"help": "ball center"}), ("radius", {"help": 'rational radius, like "1/3"'}),
+        _SPACE,
+    ), _cmd_baire_ball, _text_baire_ball),
+    ("baire", "psi", "recode between the two sequence spaces", (
+        ("point", {"help": "point to recode"}),
+        ("--inverse", {"action": "store_true", "help": "map back to non-negative entries"}),
+    ), _cmd_baire_psi, itemgetter("output")),
+    ("cover", "show", "interval named by a word", (("word", {"help": 'word, like "[1; 2]"'}),),
+     _cmd_cover_show, lambda p: f"level {p['level']}: {_interval(p)}"),
+    ("cover", "locate", "level member holding a surd", (
+        ("surd", {"help": 'surd, like "(0+1*sqrt(2))/1"'}),
+        ("--level", {"type": int, "default": 3, "help": "level to search"}),
+    ), _cmd_cover_locate, lambda p: f"{format_cf(p['word'])} {_interval(p)}"),
+    ("cover", "verify", "check the family's properties on a finite slice", (
+        ("--max-level", {"type": int, "default": 3, "help": "deepest level to enumerate"}),
+        ("--a0-lo", {"type": int, "default": -2, "help": "smallest head digit"}),
+        ("--a0-hi", {"type": int, "default": 2, "help": "largest head digit"}),
+        ("--digit-max", {"type": int, "default": 4, "help": "largest later digit"}),
+    ), _cmd_cover_verify, _text_cover_verify),
+    ("homeo", "fwd", "interval approximation of a point's value", (
+        ("point", {"help": 'point, like "(1,2,2)~(2)"'}),
+        ("--depth", {"type": int, "default": 8, "help": "digits to use, minus one"}),
+    ), _cmd_homeo_fwd, lambda p: f"{_interval(p)} midpoint {p['midpoint']}"),
+    ("homeo", "inv", "sequence prefix of a surd", (
+        ("surd", {"help": 'surd, like "(0+1*sqrt(3))/1"'}),
+        ("--depth", {"type": int, "default": 8, "help": "digits to recover, minus one"}),
+    ), _cmd_homeo_inv, itemgetter("point")),
+    ("homeo", "ball", "match a ball around a point with an interval", (
+        ("point", {"help": "ball center"}),
+        ("--n", {"type": int, "default": 3, "help": "ball radius is 1/n"}),
+    ), _cmd_homeo_ball, lambda p: f"{format_cf(p['cylinder'])} {_interval(p)} "
+                                  f"({p['samples_checked']} samples inside)"),
+    ("ultra", "build", "covers and ultrametric from a space file", _SPACE_FILE,
+     _cmd_ultra_build, _text_ultra_build),
+    ("ultra", "verify", "ultrametric and ball checks on a table file",
+     (("table", {"help": "JSON file with points and distances"}),),
+     _cmd_ultra_verify, _text_ultra_verify),
+    ("ultra", "base-eq", "balls equal blocks plus the whole space", (
+        ("source", {"help": "JSON space file (or covers file with --covers)"}),
+        ("--depth", {"type": int, "default": None, "help": "cover levels for a space file"}),
+        ("--covers", {"action": "store_true", "help": "read a covers file instead"}),
+    ), _cmd_ultra_base_eq, _text_ultra_base_eq),
+    (None, "embed", "isometric digit streams for a space file", _SPACE_FILE,
+     _cmd_embed, _text_embed),
+)
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="bairecf", description="Exact continued-fraction and sequence-space tools.")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
-
-    cf_p = sub.add_parser("cf", help="finite continued-fraction words")
-    cf_sub = cf_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    sp = cf_sub.add_parser("expand", help="canonical word of a rational")
-    sp.add_argument("value", help='rational, like "355/113"')
-    sp._negative_number_matcher = _NEGATIVE_RATIONAL
-    _leaf(sp, _cmd_cf_expand, lambda p: format_cf(p["word"]))
-    sp = cf_sub.add_parser("eval", help="exact value of a word")
-    sp.add_argument("word", help='word, like "[3; 7, 16]"')
-    _leaf(sp, _cmd_cf_eval, itemgetter("value"))
-    sp = cf_sub.add_parser("convergents", help="prefix values of a rational's word")
-    sp.add_argument("value", help='rational, like "355/113"')
-    sp._negative_number_matcher = _NEGATIVE_RATIONAL
-    _leaf(sp, _cmd_cf_convergents, lambda p: "\n".join(p["convergents"]))
-
-    surd_p = sub.add_parser("surd", help="quadratic surds")
-    surd_sub = surd_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    sp = surd_sub.add_parser("expand", help="digit expansion of a surd")
-    sp.add_argument("surd", help='surd, like "(0+1*sqrt(2))/1"')
-    sp.add_argument("--depth", type=int, default=10, help="digits after the integer part")
-    _leaf(sp, _cmd_surd_expand, lambda p: format_cf(p["word"]))
-
-    baire_p = sub.add_parser("baire", help="integer sequence space")
-    baire_sub = baire_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    sp = baire_sub.add_parser("dist", help="first-difference distance of two points")
-    sp.add_argument("p", help='point, like "(1,2,3)" or "(0)~(2,1)"')
-    sp.add_argument("q", help="point")
-    sp.add_argument("--bound", type=int, default=32, help="indices to scan")
-    _add_space(sp)
-    _leaf(sp, _cmd_baire_dist, lambda p: f"{p['kind']} {p['value']}")
-    sp = baire_sub.add_parser("ball", help="cylinder equal to an open ball")
-    sp.add_argument("point", help="ball center")
-    sp.add_argument("radius", help='rational radius, like "1/3"')
-    _add_space(sp)
-    _leaf(sp, _cmd_baire_ball, _text_baire_ball)
-    sp = baire_sub.add_parser("psi", help="recode between the two sequence spaces")
-    sp.add_argument("point", help="point to recode")
-    sp.add_argument("--inverse", action="store_true", help="map back to non-negative entries")
-    _leaf(sp, _cmd_baire_psi, itemgetter("output"))
-
-    cover_p = sub.add_parser("cover", help="rational interval family")
-    cover_sub = cover_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    sp = cover_sub.add_parser("show", help="interval named by a word")
-    sp.add_argument("word", help='word, like "[1; 2]"')
-    _leaf(sp, _cmd_cover_show, lambda p: f"level {p['level']}: {_interval(p)}")
-    sp = cover_sub.add_parser("locate", help="level member holding a surd")
-    sp.add_argument("surd", help='surd, like "(0+1*sqrt(2))/1"')
-    sp.add_argument("--level", type=int, default=3, help="level to search")
-    _leaf(sp, _cmd_cover_locate, lambda p: f"{format_cf(p['word'])} {_interval(p)}")
-    sp = cover_sub.add_parser("verify", help="check the family's properties on a finite slice")
-    sp.add_argument("--max-level", type=int, default=3, help="deepest level to enumerate")
-    sp.add_argument("--a0-lo", type=int, default=-2, help="smallest head digit")
-    sp.add_argument("--a0-hi", type=int, default=2, help="largest head digit")
-    sp.add_argument("--digit-max", type=int, default=4, help="largest later digit")
-    _leaf(sp, _cmd_cover_verify, _text_cover_verify)
-
-    homeo_p = sub.add_parser("homeo", help="sequences <-> irrationals dictionary")
-    homeo_sub = homeo_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    sp = homeo_sub.add_parser("fwd", help="interval approximation of a point's value")
-    sp.add_argument("point", help='point, like "(1,2,2)~(2)"')
-    sp.add_argument("--depth", type=int, default=8, help="digits to use, minus one")
-    _leaf(sp, _cmd_homeo_fwd, lambda p: f"{_interval(p)} midpoint {p['midpoint']}")
-    sp = homeo_sub.add_parser("inv", help="sequence prefix of a surd")
-    sp.add_argument("surd", help='surd, like "(0+1*sqrt(3))/1"')
-    sp.add_argument("--depth", type=int, default=8, help="digits to recover, minus one")
-    _leaf(sp, _cmd_homeo_inv, itemgetter("point"))
-    sp = homeo_sub.add_parser("ball", help="match a ball around a point with an interval")
-    sp.add_argument("point", help="ball center")
-    sp.add_argument("--n", type=int, default=3, help="ball radius is 1/n")
-    _leaf(sp, _cmd_homeo_ball, lambda p: f"{format_cf(p['cylinder'])} {_interval(p)} "
-                                         f"({p['samples_checked']} samples inside)")
-
-    ultra_p = sub.add_parser("ultra", help="finite metric space laboratory")
-    ultra_sub = ultra_p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    sp = ultra_sub.add_parser("build", help="covers and ultrametric from a space file")
-    sp.add_argument("space", help="JSON file with points and distances")
-    sp.add_argument("--depth", type=int, default=4, help="number of cover levels")
-    _leaf(sp, _cmd_ultra_build, _text_ultra_build)
-    sp = ultra_sub.add_parser("verify", help="ultrametric and ball checks on a table file")
-    sp.add_argument("table", help="JSON file with points and distances")
-    _leaf(sp, _cmd_ultra_verify, _text_ultra_verify)
-    sp = ultra_sub.add_parser("base-eq", help="balls equal blocks plus the whole space")
-    sp.add_argument("source", help="JSON space file (or covers file with --covers)")
-    sp.add_argument("--depth", type=int, default=None, help="cover levels for a space file")
-    sp.add_argument("--covers", action="store_true", help="read a covers file instead")
-    _leaf(sp, _cmd_ultra_base_eq, _text_ultra_base_eq)
-
-    sp = sub.add_parser("embed", help="isometric digit streams for a space file")
-    sp.add_argument("space", help="JSON file with points and distances")
-    sp.add_argument("--depth", type=int, default=4, help="number of cover levels")
-    _leaf(sp, _cmd_embed, _text_embed)
-
+    groups = {None: sub}
+    for group, help_ in _GROUPS.items():
+        groups[group] = sub.add_parser(group, help=help_).add_subparsers(
+            dest="subcommand", required=True, metavar="subcommand")
+    for group, name, help_, args, handler, view in _COMMANDS:
+        sp = groups[group].add_parser(name, help=help_)
+        for arg, kwargs in args:
+            sp.add_argument(arg, **kwargs)
+        if _RATIONAL in args:
+            sp._negative_number_matcher = _NEGATIVE_RATIONAL
+        sp.add_argument("--json", action="store_true", help="print a single-line JSON payload")
+        sp.set_defaults(handler=handler, view=view)
     return p
 
 

@@ -3,9 +3,11 @@
 Rationals are plain ``fractions.Fraction`` values: stored reduced, denominator
 positive, arbitrary precision.  The text format is ``p/q`` with ``/q`` omitted
 for integers; ``parse_rational``/``format_rational`` round-trip bit-exactly.
-Both refuse integers over MAX_DIGITS digits, the interpreter's own default;
-every parser reads integers as ``INT_DIGITS`` and names an overlong one with
-``check_digit_budget``, and ``check_int_budget`` refuses computed ones.
+Both refuse integers over MAX_DIGITS digits: 4300, the interpreter's default
+limit, or its limit at import if that is lower, so CPython's own conversion
+error never shows.  Every parser reads integers as ``INT_DIGITS`` and names an
+overlong one with ``check_digit_budget``, and ``check_int_budget`` refuses
+computed ones.
 ``rational_pairs`` reads many texts in the same grammar, and under the same
 budget, as reduced integer (numerator, denominator) pairs, with no
 ``Fraction`` per text.
@@ -14,6 +16,7 @@ budget, as reduced integer (numerator, denominator) pairs, with no
 from __future__ import annotations
 
 import re
+import sys
 from contextlib import suppress
 from fractions import Fraction
 from itertools import filterfalse, repeat
@@ -22,7 +25,8 @@ from operator import floordiv
 from typing import Iterable
 
 Rational = Fraction
-MAX_DIGITS = 4300  # CPython's default int <-> str limit, which is never lifted
+# CPython's default int <-> str limit, or the interpreter's nonzero limit if lower
+MAX_DIGITS = min(4300, getattr(sys, "get_int_max_str_digits", int)() or 4300)
 _DIGITS_CAP = 10**MAX_DIGITS
 INT_DIGITS = rf"\d{{1,{MAX_DIGITS}}}"  # the digits of an integer within the budget
 _OVERLONG = re.compile(rf"\d{{{MAX_DIGITS + 1}}}")

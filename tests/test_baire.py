@@ -46,6 +46,8 @@ def test_value_at_and_definedness():
     assert not q.defined_through(3)
     with pytest.raises(InsufficientPrecisionError):
         q.value_at(2)
+    with pytest.raises(ValueError, match="index must be >= 0, got -1"):
+        q.value_at(-1)
 
 
 def test_prefix_extraction():
@@ -148,6 +150,7 @@ def test_cylinder_of_ball_examples():
     f = BairePrefix((3, 1, 4, 1, 5))
     assert cylinder_of_ball(f, Fraction(1, 3)) == (3, 1, 4)
     assert cylinder_of_ball(f, Fraction(2)) is WHOLE_SPACE
+    assert repr(WHOLE_SPACE) == "WHOLE_SPACE"
     assert cylinder_of_ball(BairePrefix((3, 1, 4)), Fraction(1)) == (3,)
     assert cylinder_of_ball(f, Fraction(1, 4)) == (3, 1, 4, 1)
     assert cylinder_of_ball(f, Fraction(1, 5)) == (3, 1, 4, 1, 5)

@@ -51,7 +51,8 @@ def test_expand_fibonacci_worst_case():
 
 def test_cfword_canonical_constraints():
     CFWord((3,))
-    CFWord((3, 7, 16))
+    w = CFWord((3, 7, 16))
+    assert (list(w), str(w)) == ([3, 7, 16], "[3; 7, 16]")
     CFWord((0, 1, 1, 2))
     with pytest.raises(ValueError):
         CFWord((3, 1))  # must not end in 1 when longer than one digit

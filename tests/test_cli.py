@@ -1,15 +1,16 @@
 """Command line behaviour: wiring, exit codes, JSON payloads."""
 
-import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 from fractions import Fraction
 from types import SimpleNamespace
 
+import bairecf
 import bairecf.cf as cf
 import bairecf.cli as cli
 import bairecf.ultra as ultra
@@ -25,11 +26,24 @@ DATA = Path(__file__).parent / "data"
 SPACE3 = str(DATA / "space3.json")
 EUCLID3 = str(DATA / "euclid3.json")
 COVERS3 = str(DATA / "covers3.json")
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(bairecf.__file__).resolve().parent.parent  # where the package under test lives
 
 
 def _golden(name: str) -> str:
     return (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def _child_env(**extra) -> dict:
+    """A child process's environment: the package this test imported, the default depth cap."""
+    env = {k: v for k, v in os.environ.items() if k != "BAIRECF_MAX_DEPTH"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+def _bairecf(argv, env):
+    return subprocess.run([sys.executable, "-m", "bairecf", *argv], capture_output=True,
+                          encoding="utf-8", env=env, timeout=60)
 
 
 def test_cf_commands():
@@ -539,8 +553,7 @@ def test_parser_built_once_per_process(monkeypatch):
 
 
 def test_one_shot_process_matches_goldens():
-    env = {k: v for k, v in os.environ.items() if k != "BAIRECF_MAX_DEPTH"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env = _child_env()
     argvs = dict(COMMANDS)
     usage = ["surd", "expand"]
     cases = [
@@ -549,8 +562,7 @@ def test_one_shot_process_matches_goldens():
         (usage, blob(run(usage))),
     ]
     for argv, expected in cases:
-        proc = subprocess.run([sys.executable, "-m", "bairecf", *argv], capture_output=True,
-                              encoding="utf-8", env=env, timeout=60)
+        proc = _bairecf(argv, env)
         got = SimpleNamespace(exit_code=proc.returncode, out=proc.stdout.removesuffix("\n"),
                               err=proc.stderr.removesuffix("\n"))
         assert blob(got) == expected, argv
@@ -558,19 +570,16 @@ def test_one_shot_process_matches_goldens():
 
 
 def test_no_output_depends_on_the_hash_seed(tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "BAIRECF_MAX_DEPTH"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env = _child_env()
     overlap = tmp_path / "overlap.json"
     overlap.write_text(json.dumps({"levels": [[["a", "b", "c", "d"], ["c", "d"]]]}))
     errs = set()
     for seed in ("1", "2"):
         env["PYTHONHASHSEED"] = seed
-        goldens = subprocess.run([sys.executable, str(SRC.parent / "tools" / "check_goldens.py")],
+        goldens = subprocess.run([sys.executable, str(ROOT / "tools" / "check_goldens.py")],
                                  capture_output=True, encoding="utf-8", env=env, timeout=120)
         assert goldens.returncode == 0, goldens.stdout
-        proc = subprocess.run([sys.executable, "-m", "bairecf", "ultra", "base-eq", str(overlap),
-                               "--covers"], capture_output=True, encoding="utf-8", env=env,
-                              timeout=60)
+        proc = _bairecf(["ultra", "base-eq", str(overlap), "--covers"], env)
         errs.add((proc.returncode, proc.stderr))
     assert errs == {(1, "error: level 0: blocks overlap at 'c'\n")}
 
@@ -637,7 +646,7 @@ def test_ultra_verify_failure_exits_three_in_both_modes():
     assert payload["balls"]["passed"] is False
 
 
-# One valid argv per leaf command, keyed by the leaf's path in the parser tree.
+# One valid argv per leaf command, keyed by the leaf's path in the command table.
 LEAF_SAMPLES = {
     ("cf", "expand"): ["-3/2"],
     ("cf", "eval"): ["[3; 7, 15, 1]"],
@@ -659,25 +668,42 @@ LEAF_SAMPLES = {
 }
 
 
-def _leaves(parser, path=()):
-    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subs:
-        yield path
-    for action in subs:
-        for name, child in action.choices.items():
-            yield from _leaves(child, path + (name,))
+def _leaf(argv) -> tuple:
+    """The leaf command an argv names: a group and a name, or a top-level name."""
+    return tuple(argv[:2] if argv[0] in cli._GROUPS else argv[:1])
+
+
+LEAVES = [(group, name) if group else (name,) for group, name, *_ in cli._COMMANDS]
 
 
 def test_every_leaf_command_renders_in_both_modes():
-    leaves = list(_leaves(cli.build_parser()))
-    assert len(leaves) == 17
-    assert sorted(leaves) == sorted(LEAF_SAMPLES)
-    for path in leaves:
+    assert len(LEAVES) == 17
+    assert sorted(LEAVES) == sorted(LEAF_SAMPLES)
+    for path in LEAVES:
         argv = [*path, *LEAF_SAMPLES[path]]
         for extra in ([], ["--json"]):
             res = run(argv + extra)
             assert res.exit_code in (0, 3), (argv, extra, res.err)
             assert res.out and not res.err, (argv, extra)
+
+
+def test_every_leaf_has_a_golden_and_a_readme_example():
+    assert {_leaf(argv) for _, argv in COMMANDS} == set(LEAVES)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    examples = [line.split()[1:] for line in section.splitlines() if line.startswith("bairecf ")]
+    assert {_leaf(argv) for argv in examples} == set(LEAVES)
+
+
+def test_every_leaf_help_names_each_argument_with_its_help(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for path, (_, _, _, args, _, _) in zip(LEAVES, cli._COMMANDS):
+        assert run([*path, "--help"]).exit_code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for name, kwargs in [*args, ("--json", {"help": "print a single-line JSON payload"})]:
+            # the name, its metavar if it takes a value, then its help
+            pattern = rf"(^| ){re.escape(name)}( \S+)? {re.escape(kwargs['help'])}"
+            assert re.search(pattern, text), (path, name)
 
 
 def test_surd_digits_and_psi_entries_past_the_digit_budget_exit_one():
@@ -751,3 +777,23 @@ def test_input_integers_past_the_digit_budget_exit_one(tmp_path):
                  *(argv for path, argv in argvs.items() if "4300" in path.name)):
         res = run(argv)
         assert (res.exit_code, res.err) == (0, ""), argv
+
+
+def test_a_lower_interpreter_digit_limit_is_the_budget(tmp_path):
+    """Under PYTHONINTMAXSTRDIGITS=640 the package names its own 640-digit budget."""
+    env = _child_env(PYTHONINTMAXSTRDIGITS="640")
+    for digits, refused in (("1" * 1000, True), ("1" * 640, False)):
+        table = tmp_path / f"big{len(digits)}.json"
+        table.write_text('{"points": [%s, "a"], "dist": [[%s, "a", "1"]]}' % (digits, digits))
+        cases = [
+            (["ultra", "verify", str(table)], f"{table}: JSON integer"),
+            (["cf", "expand", f"1/{digits}"], "rational"),
+            (["baire", "dist", f"({digits})", "(1)", "--bound", "1"], "point entry"),
+        ]
+        for argv, what in cases:
+            proc = _bairecf(argv, env)
+            if refused:
+                assert (proc.returncode, proc.stdout) == (1, ""), argv
+                assert proc.stderr == f"error: {what} exceeds the 640-digit budget\n", argv
+            else:
+                assert (proc.returncode, proc.stderr) == (0, ""), argv

@@ -1,3 +1,5 @@
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -83,6 +85,7 @@ def test_floor_examples():
     assert NAMED_SURDS["minus_sqrt2"].floor() == -2
     assert NAMED_SURDS["golden"].floor() == 1
     assert QuadraticSurd(0, 1, 99).floor() == 9
+    assert math.floor(NAMED_SURDS["minus_sqrt2"]) == -2
 
 
 def test_recip_frac_is_reciprocal_of_fractional_part():
@@ -125,8 +128,9 @@ def test_rich_comparisons():
     assert sqrt3 > Fraction(173, 100)
     assert sqrt3 < Fraction(174, 100)
     assert (sqrt3 >= 1) and (sqrt3 <= 2)
-    with pytest.raises(TypeError):
-        sqrt3 < "x"  # type: ignore[operator]
+    for compare in (operator.lt, operator.gt, operator.le, operator.ge):
+        with pytest.raises(TypeError):
+            compare(sqrt3, "x")
 
 
 def test_parse_format_round_trip():

@@ -114,6 +114,13 @@ MUTANTS = [
            "while level < max_level and g > _DIGITS_CAP:", (CLI + UNPRINTABLE,)),
     Mutant("cli.py", "f, g, level = 1, 1, 0", "f, g, level = 0, 1, 0", (CLI + UNPRINTABLE,)),
     Mutant("cli.py", "        _format_ratio(1, f * g)\n", "", (CLI + UNPRINTABLE,)),
+    # the command table: a leading minus reads as a rational, and every row is a leaf
+    Mutant("cli.py", "sp._negative_number_matcher = _NEGATIVE_RATIONAL", "pass",
+           (CLI + "test_cf_negative_rational_needs_no_separator",)),
+    Mutant("cli.py", '    (None, "embed", "isometric digit streams for a space file", _SPACE_FILE,\n'
+           "     _cmd_embed, _text_embed),\n", "",
+           (CLI + "test_every_leaf_has_a_golden_and_a_readme_example",
+            CLI + "test_every_leaf_command_renders_in_both_modes")),
     # CLI caps and argument checks
     Mutant("cli.py", '_capped(r.denominator // r.numerator, "cylinder length")',
            '_capped(r.denominator // r.numerator + 1, "cylinder length")',
@@ -123,6 +130,9 @@ MUTANTS = [
            (CLI + "test_baire_ball",)),
     Mutant("cli.py", '        check_digit_budget(text, f"{path}: JSON integer")\n', "",
            (CLI + "test_input_integers_past_the_digit_budget_exit_one",)),
+    # the digit budget follows a lower interpreter limit; only a child process sees it
+    Mutant("rational.py", 'min(4300, getattr(sys, "get_int_max_str_digits", int)() or 4300)',
+           "4300", (CLI + "test_a_lower_interpreter_digit_limit_is_the_budget",)),
     # the export map
     Mutant("__init__.py", '"sierpinski_embed", ', "",
            (EXPORTS + "test_every_public_name_is_its_modules_object_once",
