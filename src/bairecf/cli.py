@@ -20,7 +20,9 @@ text form is a view of that payload, and ``run`` renders it only without
 Each leaf is one row of ``_COMMANDS``: group, name, help, arguments, handler
 and view.  ``build_parser`` builds the argparse tree from that table, and
 ``run`` reuses one tree per process, built on first use (parsing reads no
-environment; the cap is read as each command runs).  The table binds the
+environment; the cap is read as each command runs).  ``run`` parses the words
+after a leaf's name with that leaf's parser, and the whole tree parses only
+what names no leaf or what the leaf leaves over.  The table binds the
 handlers and views into the tree, so patch the library names the handlers
 call on this module, such as ``verify_cover_properties``, not ``_cmd_*``.
 """
@@ -432,8 +434,10 @@ def build_parser() -> _Parser:
     for group, help_ in _GROUPS.items():
         groups[group] = sub.add_parser(group, help=help_).add_subparsers(
             dest="subcommand", required=True, metavar="subcommand")
+    p.leaves = {}  # a leaf's words, such as ("cf", "expand") or ("embed",) -> its parser
     for group, name, help_, args, handler, view in _COMMANDS:
         sp = groups[group].add_parser(name, help=help_)
+        p.leaves[(group, name) if group else (name,)] = sp
         for arg, kwargs in args:
             sp.add_argument(arg, **kwargs)
         if _RATIONAL in args:
@@ -446,9 +450,28 @@ def build_parser() -> _Parser:
 _parser = functools.cache(build_parser)
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """The namespace of argv, parsed by its leaf's parser when its first words name one.
+
+    The tree hands the words after a leaf's name to that same leaf parser, and
+    its upper levels only classify words, so it is needed only for what names
+    no leaf (--help, --version, an unknown command) and to report words the
+    leaf leaves over, as the top-level parser's "unrecognized arguments".
+    """
+    parser = _parser()
+    for key in (tuple(argv[:2]), tuple(argv[:1])):
+        leaf = parser.leaves.get(key)
+        if leaf is not None:
+            args, rest = leaf.parse_known_args(argv[len(key):])
+            if not rest:
+                return args
+    return parser.parse_args(argv)
+
+
 def run(argv=None) -> CommandResult:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except UsageError as e:
         return CommandResult(2, err=f"usage error: {e}")
     except SystemExit as e:  # --help and --version print on their own

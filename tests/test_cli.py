@@ -365,6 +365,10 @@ def test_usage_errors_exit_code_two():
     res = run(["surd", "expand"])
     assert res.exit_code == 2
     assert res.err.startswith("usage error:")
+    # the top-level parser reports what a leaf leaves over
+    for argv in (["cf", "expand", "1/2", "--bogus"], ["embed", "x.json", "y"]):
+        expected = f"usage error: bairecf: unrecognized arguments: {argv[-1]}"
+        assert run(argv) == cli.CommandResult(2, err=expected), argv
 
 
 def test_max_depth_env(monkeypatch):
@@ -454,9 +458,11 @@ def test_default_depth_cap_is_64():
     assert run(["surd", "expand", "(0+1*sqrt(2))/1", "--depth", "65"]).exit_code == 1
 
 
-def test_version_and_main(capsys):
+def test_version_and_main(monkeypatch, capsys):
     assert run(["--version"]).exit_code == 0
     capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["bairecf", "cf", "expand", "7/3"])
+    assert run(None) == cli.CommandResult(0, out="[2; 3]")
     code = main(["cf", "expand", "7/3"])
     captured = capsys.readouterr()
     assert code == 0
@@ -674,6 +680,40 @@ def _leaf(argv) -> tuple:
 
 
 LEAVES = [(group, name) if group else (name,) for group, name, *_ in cli._COMMANDS]
+
+
+def test_the_leaf_parser_agrees_with_the_whole_tree(monkeypatch, capsys):
+    """Seeded argvs give the same result, output and printing when run() parses the
+    words after a leaf's name with that leaf's parser as when the tree parses them all."""
+    monkeypatch.delenv("BAIRECF_MAX_DEPTH", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    words = sorted({w for path in LEAVES for w in path}
+                   | {w for sample in LEAF_SAMPLES.values() for w in sample}
+                   | {"-h", "--help", "--version", "--", "-3/2", "--dep", "--js", "--json",
+                      "--bogus", "--json=1", "x", "1/2"})
+    parser = cli._parser()
+    leaves, parse_args, tree = parser.leaves, parser.parse_args, []
+    monkeypatch.setattr(parser, "leaves", leaves)
+    monkeypatch.setattr(parser, "parse_args", lambda argv: tree.append(argv) or parse_args(argv))
+
+    def outcome(argv):
+        res = run(argv)
+        printed = capsys.readouterr()
+        return res, printed.out, printed.err
+
+    rng = random.Random(28)
+    codes = set()
+    for _ in range(2000):
+        path = rng.choice([*LEAVES, ("cf",), ()])
+        sample = LEAF_SAMPLES.get(path, []) if rng.random() < 0.5 else []
+        argv = [*path, *sample, *rng.choices(words, k=rng.randrange(4))]
+        parser.leaves, before = leaves, len(tree)
+        via_leaf = outcome(argv)
+        codes.add((via_leaf[0].exit_code, len(tree) > before))
+        parser.leaves = {}
+        assert outcome(argv) == via_leaf, argv
+    # each exit code, through the leaf alone and through the tree too
+    assert codes == {(0, False), (0, True), (1, False), (2, False), (2, True), (3, False)}
 
 
 def test_every_leaf_command_renders_in_both_modes():

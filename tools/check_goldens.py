@@ -19,7 +19,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+# The checkout's src serves a plain run; a PYTHONPATH entry, such as a mutated copy, wins.
+sys.path[:0] = [*filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep)),
+                str(ROOT / "src"), str(ROOT / "tests")]
 
 from _commands import COMMANDS, GOLDEN_DIR, blob  # noqa: E402
 from bairecf.cli import run  # noqa: E402

@@ -120,7 +120,18 @@ MUTANTS = [
     Mutant("cli.py", '    (None, "embed", "isometric digit streams for a space file", _SPACE_FILE,\n'
            "     _cmd_embed, _text_embed),\n", "",
            (CLI + "test_every_leaf_has_a_golden_and_a_readme_example",
-            CLI + "test_every_leaf_command_renders_in_both_modes")),
+            CLI + "test_every_leaf_command_renders_in_both_modes",
+            CLI + "test_no_output_depends_on_the_hash_seed")),
+    # each leaf parses the words after its name; the tree reports what it leaves over
+    Mutant("cli.py", "            if not rest:\n                return args\n",
+           "            return args\n",
+           (CLI + "test_usage_errors_exit_code_two",
+            CLI + "test_the_leaf_parser_agrees_with_the_whole_tree")),
+    Mutant("cli.py", "leaf.parse_known_args(argv[len(key):])",
+           "leaf.parse_known_args(argv[len(key) - 1:])",
+           (CLI + "test_usage_errors_exit_code_two",
+            CLI + "test_one_shot_process_matches_goldens",
+            CLI + "test_the_leaf_parser_agrees_with_the_whole_tree")),
     # CLI caps and argument checks
     Mutant("cli.py", '_capped(r.denominator // r.numerator, "cylinder length")',
            '_capped(r.denominator // r.numerator + 1, "cylinder length")',
@@ -155,6 +166,10 @@ EQUIVALENT = [
                "all(_centered(balls) for _, balls in list(_ball_sweep(table))[:-1])",
                "the last radius is past the largest distance, where every ball is the whole "
                "space, and the whole space is centered in every table"),
+    Equivalent("cli.py", "for key in (tuple(argv[:2]), tuple(argv[:1])):",
+               "for key in (tuple(argv[:1]), tuple(argv[:2])):",
+               "a one-word key could shadow a two-word key only if a top-level leaf shared "
+               "its name with a group, and top-level names are unique: `embed` names no group"),
 ]
 
 
