@@ -68,15 +68,11 @@ def expand_rational(x: Fraction) -> CFWord:
     """Canonical word of a rational, by iterated floor division."""
     a, b = x.numerator, x.denominator
     digits = []
-    # Remainders at least halve every two steps, so this bound never fires.
-    limit = 2 * b.bit_length() + 2
-    for _ in range(limit + 1):
+    while b:  # each remainder is below its divisor, so the divisors fall to 0
         q, r = divmod(a, b)  # euclid_div, as every divisor b is positive
         digits.append(q)
-        if not r:
-            return CFWord(tuple(digits))
         a, b = b, r
-    raise RuntimeError(f"internal error: expansion of {x} exceeded {limit} steps")
+    return CFWord(tuple(digits))
 
 
 _EMPTY = (1, 0, 0, 1)  # (p_n, q_n, p_{n-1}, q_{n-1}) of the empty word

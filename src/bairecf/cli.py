@@ -53,8 +53,8 @@ from .baire import (
 from .cf import _convergent_pairs, evaluate, expand_rational, expand_surd, format_cf, parse_cf
 from .cover import locate, member_of, verify_cover_properties
 from .homeo import check_ball_image, phi_forward, phi_inverse
-from .rational import (_DIGITS_CAP, _format_ratio, check_digit_budget, format_rational,
-                       parse_rational)
+from .rational import (_DIGITS_CAP, MAX_DIGITS, _format_ratio, check_digit_budget,
+                       format_rational, parse_rational)
 from .surd import format_surd, parse_surd
 from .ultra import (
     _fmt_set,
@@ -244,8 +244,9 @@ def _cmd_cover_verify(args) -> dict:
     for _ in range(max_level + 1):
         words += per_level
         if words > MAX_COVER_WORDS:
+            shown = words if words < _DIGITS_CAP else f"10^{MAX_DIGITS}"  # a count that prints
             raise ValueError(
-                f"slice of at least {words} words exceeds the budget {MAX_COVER_WORDS}"
+                f"slice of at least {shown} words exceeds the budget {MAX_COVER_WORDS}"
             )
         per_level *= max(args.digit_max, 0)
     if args.a0_lo <= args.a0_hi and args.digit_max >= 1:

@@ -81,7 +81,7 @@ class DistanceTable:
     ``rows[i][j] / scale`` is the distance from ``points[i]`` to ``points[j]``,
     with ``scale`` the lcm of the denominators; ``index`` maps points to positions.
     ``distances`` maps pairs, or is (pair, distance) items, to what ``Fraction`` reads.
-    An int pair over a positive denominator is taken as is, reduced or not; any other
+    An int pair over a positive denominator is reduced as it is read, and any other
     tuple is ``Fraction(*tuple)``.  A pair may repeat, in either order, only with the
     same distance.
     """
@@ -111,14 +111,14 @@ class DistanceTable:
             if i == j:
                 raise ValueError(f"diagonal entry for {x!r}; d(x, x) = 0 is implicit")
             if (v.__class__ is not tuple or len(v) != 2 or v[0].__class__ is not int
-                    or v[1].__class__ is not int or v[1] <= 0):
+                    or v[1].__class__ is not int or v[1] <= 0 or gcd(*v) != 1):
                 v = (Fraction(*v) if isinstance(v, tuple) else Fraction(v)).as_integer_ratio()
             if v[0] <= 0:
                 raise ValueError(
                     f"distance for ({x!r}, {y!r}) must be positive, got {Fraction(*v)}")
             row = m[i]
-            if row[j] is not None and row[j][0] * v[1] != v[0] * row[j][1]:  # named in table order
-                x, y = self.points[min(i, j)], self.points[max(i, j)]
+            if row[j] is not None and row[j] != v:  # reduced pairs: equal exactly when values are
+                x, y = self.points[min(i, j)], self.points[max(i, j)]  # named in table order
                 raise ValueError(f"conflicting distances for ({x!r}, {y!r})")
             row[j] = m[j][i] = v
         for i, row in enumerate(m):
@@ -126,12 +126,11 @@ class DistanceTable:
             if None in row:
                 y = self.points[row.index(None)]
                 raise ValueError(f"missing distance for ({self.points[i]!r}, {y!r})")
+        # lowest terms: each prime's power in the lcm is whole in some reduced denominator
         scale = lcm(*{den for row in m for _, den in row})
         rows = [[num * (scale // den) for num, den in row] for row in m]
-        g = gcd(scale, *chain.from_iterable(rows))  # 1 unless some pair was unreduced
-        if g > 1:
-            scale, rows = scale // g, [[v // g for v in row] for row in rows]
         self.scale, self.rows = scale, rows
+        self._entries: list[int] = sorted(set(chain.from_iterable(rows)))  # distinct, 0 first
 
     def _frac(self, v: int) -> Fraction:
         return Fraction(v, self.scale)
@@ -144,14 +143,13 @@ class DistanceTable:
 
     def values(self) -> list[Fraction]:
         """Distinct positive distances, ascending."""
-        distinct = {v for i, row in enumerate(self.rows) for v in row[i + 1 :]}
-        return [self._frac(v) for v in sorted(distinct)]
+        return list(map(self._frac, self._entries[1:]))
 
     def same_table(self, other: "DistanceTable") -> bool:
         return (self.points, self.scale, self.rows) == (other.points, other.scale, other.rows)
 
     def as_json(self) -> dict:
-        text = {v: str(self._frac(v)) for row in self.rows for v in set(row)}
+        text = {v: str(self._frac(v)) for v in self._entries}
         pairs = combinations(zip(self.points, self.rows), 2)
         return {"points": list(self.points),
                 "dist": [[x, y, text[row[self.index[y]]]] for (x, row), (y, _) in pairs]}
@@ -375,7 +373,7 @@ def verify_ultrametric(table: DistanceTable) -> UltrametricReport:
     is centered (see ``_centered``).  Only a failure scans the triples, to name
     the first failures.
     """
-    if (len({v for row in table.rows for v in row}) <= len(table.rows)
+    if (len(table._entries) <= len(table.rows)
             and all(_centered(balls) for _, balls in _ball_sweep(table))):
         return UltrametricReport(PropertyCheck.ok(), PropertyCheck.ok())
     return _first_failing_triples(table)
@@ -386,7 +384,7 @@ def _first_failing_triples(table: DistanceTable) -> UltrametricReport:
     strong = isosceles = PropertyCheck.ok()
     pts, m, q, n = table.points, table.rows, table._frac, len(table.points)
     # with at most two distances no side triple is all distinct: stop at the first strong failure
-    few = len({v for row in m for v in row}) <= 3
+    few = len(table._entries) <= 3
     for i, row_i in enumerate(m):
         for j in range(i + 1, n):
             row_j, dij = m[j], row_i[j]
@@ -439,13 +437,11 @@ def _ball_sweep(table: DistanceTable):
     """Each radius, in scale units, with every point's open ball as a mask.  The radii,
     the distances ascending and one past the largest, realize every distinct open ball;
     each ball grows by the points at the previous radius."""
-    at = []  # per point: distance -> mask of the points at that distance
-    for row in table.rows:
-        at.append({})
+    at = [{} for _ in table.rows]  # per point: distance -> mask of the points at that distance
+    for by_distance, row in zip(at, table.rows):
         for j, v in enumerate(row):
-            at[-1][v] = at[-1].get(v, 0) | 1 << j
-    values = sorted({v for by_distance in at for v in by_distance})
-    balls = [0] * len(at)
+            by_distance[v] = by_distance.get(v, 0) | 1 << j
+    values, balls = table._entries, [0] * len(at)
     for prev, r in zip(values, values[1:] + [v + table.scale for v in values[-1:]]):
         balls = [ball | by_distance.get(prev, 0) for ball, by_distance in zip(balls, at)]
         yield r, balls

@@ -198,11 +198,16 @@ def test_cover_verify_word_budget(monkeypatch):
         ["--max-level", "64"],
         ["--max-level", "1", "--digit-max", str(10**40)],
         ["--max-level", "0", "--a0-lo", str(-(10**40)), "--a0-hi", str(10**40)],
+        # counts past 4300 digits are named by a power of ten, not printed
+        ["--a0-lo", "0", "--a0-hi", "9" * 4300],
+        ["--max-level", "1", "--a0-lo", "0", "--a0-hi", "0", "--digit-max", "9" * 4300],
     ]
     for extra in over:
         res = run(["cover", "verify", *extra])
         assert res.exit_code == 1, extra
         assert "words exceeds the budget 131072" in res.err, extra
+        assert "set_int_max_str_digits" not in res.err, extra
+    assert "slice of at least 10^4300 words" in run(["cover", "verify", *over[-1]]).err
     assert "slice of at least 436905 words" in run(["cover", "verify", "--max-level", "64"]).err
     # bad ranges count low and reach the verifier's own checks
     assert "verifier reached" in run(["cover", "verify", "--digit-max", str(-(10**40))]).err

@@ -3,7 +3,8 @@
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import gcd
 
 import pytest
 
@@ -581,6 +582,7 @@ def test_reports_match_fraction_oracles():
         ids = _mixed_ids(rng, rng.randint(0, 12))
         dist = _table_kind(rng, kind, ids)
         table = DistanceTable(ids, dist)
+        assert table._entries == sorted({v for row in table.rows for v in row})
         um = verify_ultrametric(table)
         assert um == ultrametric_scan_oracle(table), (kind, table.as_json())
         assert verify_ball_properties(table) == ball_report_oracle(table), (kind, table.as_json())
@@ -838,7 +840,11 @@ def test_distance_table_values_match_fraction_oracle():
             if rng.random() < 0.3:  # the same distance again, in either order and any form
                 items.append((rng.choice([(x, y), (y, x)]), _table_value(rng, v)))
         rng.shuffle(items)
-        assert _as_triple(DistanceTable(ids, items)) == table_oracle(ids, items)
+        table = DistanceTable(ids, items)
+        assert _as_triple(table) == table_oracle(ids, items)
+        # every form is reduced as it is read, so the matrix is in lowest terms
+        assert gcd(table.scale, *chain.from_iterable(table.rows)) == 1
+        assert table._entries == sorted({v for row in table.rows for v in row})
     # unreduced int pairs: equal to their reduced form, repeated or alone
     half = DistanceTable("ab", [(("a", "b"), (1, 2))])
     assert DistanceTable("ab", [(("a", "b"), (2, 4)), (("b", "a"), (1, 2))]).same_table(half)

@@ -56,10 +56,10 @@ class Equivalent(NamedTuple):
 
 MUTANTS = [
     # the ultrametric verdict: the distinct-entry count, then the centered sweep
-    Mutant("ultra.py",
-           "if (len({v for row in table.rows for v in row}) <= len(table.rows)\n            and ",
-           "if (", (ULTRA + "test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan",)),
-    Mutant("ultra.py", "for v in row}) <= len(table.rows)", "for v in row}) < len(table.rows)",
+    Mutant("ultra.py", "if (len(table._entries) <= len(table.rows)\n            and ", "if (",
+           (ULTRA + "test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan",)),
+    Mutant("ultra.py", "len(table._entries) <= len(table.rows)",
+           "len(table._entries) < len(table.rows)",
            (ULTRA + "test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan",)),
     Mutant("ultra.py", "return all(map(eq, owner, owner.values()))", "return True",
            (ULTRA + "test_verify_ultrametric_tied_and_tiny_tables",
@@ -69,6 +69,16 @@ MUTANTS = [
     # only the test that forbids the scan on a passing table sees the mutant
     Mutant("ultra.py", "owner[ball] = owner.get(ball, 0) | 1 << i", "owner[ball] = 1 << i",
            (ULTRA + "test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan",)),
+    # each distance is reduced as it is read, and the table lists its distinct entries once
+    Mutant("ultra.py", " or v[1] <= 0 or gcd(*v) != 1):", " or v[1] <= 0):",
+           (ULTRA + "test_distance_table_values_match_fraction_oracle",)),
+    Mutant("ultra.py", "self._entries[1:]", "self._entries",
+           (ULTRA + "test_distance_table_basics",
+            ULTRA + "test_ball_sweep_matches_midpoint_oracle",
+            ULTRA + "test_reports_match_fraction_oracles",
+            ULTRA + "test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan")),
+    Mutant("ultra.py", "few = len(table._entries) <= 3", "few = len(table._entries) <= 4",
+           (ULTRA + "test_reports_match_fraction_oracles",)),
     # base equality, the empty space and unhashable points
     Mutant("ultra.py",
            '        raise RuntimeError(f"internal error: {odd} is a ball or a block, not both")',
