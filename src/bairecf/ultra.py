@@ -12,24 +12,26 @@ covers is a theorem, so its failure is an internal error.
 
 Everything from the input to the verdict is an int.  ``table_from_json`` reads each
 ``"p/q"`` as a reduced (numerator, denominator) pair, and a table is one integer matrix
-over the lcm of its denominators, so d < r exactly when d * scale < ceil(r * scale).  A
-ball or a peeled piece is a mask with bit k for ``points[k]``, whose lowest set bit is
+over the lcm of its denominators, so d < r exactly when d * scale < ceil(r * scale).  The
+metric check, the peel's balls and the failure witness read its rows packed one int a
+row, a guard bit atop each entry's field, and compare whole rows in a few int operations.
+A ball or a peeled piece is a mask with bit k for ``points[k]``, whose lowest set bit is
 its smallest member; a cover sequence has frozenset blocks and one digit list per point.
-``Fraction``s are made only for answers, messages and the JSON payloads.  JSON inputs
-past ``MAX_POINTS`` points, or ``MAX_MATRIX_BITS`` bits of matrix (points squared times
-the bits of the scale, which can grow without bound), are refused before any table is
-built, and so is an empty space.
+``Fraction``s are made only for answers, messages and the JSON payloads.  JSON inputs past
+``MAX_POINTS`` points, or ``MAX_MATRIX_BITS`` bits of matrix (points squared times the
+bits of the scale, which can grow without bound), are refused before any table is built,
+and so is an empty space.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, chain, combinations, compress, count, islice, pairwise, repeat
+from functools import cache, cached_property, reduce
+from itertools import accumulate, chain, combinations, compress, islice, pairwise, repeat, starmap
 from math import gcd, lcm
-from operator import add, eq, ne, or_
+from operator import eq, or_, xor
 
 from .baire import BairePrefix
 from .rational import parse_rational, rational_pairs
@@ -132,6 +134,15 @@ class DistanceTable:
         self.scale, self.rows = scale, rows
         self._entries: list[int] = sorted(set(chain.from_iterable(rows)))  # distinct, 0 first
 
+    @cached_property
+    def _packed(self) -> tuple[int, int, int, Callable[[int], int]]:
+        """(w, ONES, G, packed), built on first use: packed(i) is row i as one int, made at its
+        first call, whose bits k*w to k*w + w - 2 hold rows[i][k], or two entries' sum, below
+        field k's guard bit; G holds every guard and ONES a 1 in every field."""
+        w, n, rows = (2 * (self._entries or [0])[-1]).bit_length() + 1, len(self.rows), self.rows
+        ones, fields = ((1 << w * n) - 1) // ((1 << w) - 1), f"{{:0{w}b}}" * n
+        return w, ones, ones << w - 1, cache(lambda i: int(fields.format(*rows[i][::-1]), 2))
+
     def _frac(self, v: int) -> Fraction:
         return Fraction(v, self.scale)
 
@@ -160,17 +171,16 @@ class FiniteSpace(DistanceTable):
 
     def __init__(self, points: Iterable, distances):
         super().__init__(points, distances)
-        pts, m, q = self.points, self.rows, self._frac
+        pts, m, (w, ones, guards, packed) = self.points, self.rows, self._packed
         for i, row_i in enumerate(m):
             for j in range(i + 1, len(pts)):
-                row_j, dij = m[j], row_i[j]
-                # k = i and k = j give the sum dij itself, so only a detour can be shorter
-                if min(map(add, row_i, row_j)) < dij:
-                    k = next(k for k in range(len(pts)) if row_i[k] + row_j[k] < dij)
-                    x, y, z = pts[i], pts[j], pts[k]
+                # field k's guard clears when d_ik + d_jk < d_ij, which needs k != i, j
+                kept = ((packed(i) + packed(j)) | guards) - row_i[j] * ones & guards
+                if kept != guards:
+                    x, y, z = pts[i], pts[j], pts[_low(guards ^ kept) // w]
                     raise ValueError(
-                        f"triangle inequality fails: d({x!r}, {y!r}) = {q(dij)} > "
-                        f"d({x!r}, {z!r}) + d({z!r}, {y!r}) = {q(row_i[k])} + {q(row_j[k])}")
+                        f"triangle inequality fails: d({x!r}, {y!r}) = {self.d(x, y)} > "
+                        f"d({x!r}, {z!r}) + d({z!r}, {y!r}) = {self.d(x, z)} + {self.d(z, y)}")
 
 
 def _check_points(n: int) -> None:
@@ -302,10 +312,12 @@ def covers_from_json(obj) -> CoverSequence:
 
 
 def _balls(table: DistanceTable, r: Fraction) -> list[int]:
-    """Every point's open ball of radius r as a mask: the entries below ceil(r * scale)."""
-    below = (-(-r.numerator * table.scale // r.denominator)).__gt__
-    bits = [1 << j for j in range(len(table.rows))]
-    return [sum(compress(bits, map(below, row))) for row in table.rows]
+    """Every point's open ball of radius r as a mask: the entries below c = ceil(r * scale),
+    whose guards clear in (row | G) - c * ONES, with c at most one past the largest entry."""
+    w, ones, guards, packed = table._packed
+    c = min(-(-r.numerator * table.scale // r.denominator), (table._entries or [0])[-1] + 1)
+    return [int(bin((guards ^ ((p | guards) - c * ones & guards)) >> w - 1)[:1:-1][::w][::-1], 2)
+            for p in map(packed, range(len(table.rows)))]
 
 
 def build_cover_sequence(space: FiniteSpace, depth: int) -> CoverSequence:
@@ -342,13 +354,17 @@ def ultrametric_from_covers(seq: CoverSequence, ground: Iterable) -> DistanceTab
     index at which the two points' digits differ, their sequence-space distance."""
     if frozenset(ground) != seq.ground:
         raise ValueError("ground set does not match the cover sequence")
-    pts, pairs = seq.points, combinations(seq._digits.values(), 2)
-    ks = [next(compress(count(), map(ne, a, b)), None) for a, b in pairs]
-    if None in ks:
-        x, y = next(islice(combinations(pts, 2), ks.index(None), None))
+    # digits packed one int a point, level 0 highest: a pair first differs at the XOR's top bit
+    pts, b, depth = seq.points, len(seq.points).bit_length(), seq.depth
+    digits = f"{{:0{b}b}}" * depth
+    keys = [int(digits.format(*ds), 2) for ds in seq._digits.values()]
+    highs = list(map(int.bit_length, starmap(xor, combinations(keys, 2))))
+    if 0 in highs:
+        x, y = next(islice(combinations(pts, 2), highs.index(0), None))
         raise UnseparatedPairError(
-            (x, y), f"points {x!r} and {y!r} are never separated within depth {seq.depth}")
-    return DistanceTable(pts, zip(combinations(pts, 2), ((1, k + 1) for k in ks)))
+            (x, y), f"points {x!r} and {y!r} are never separated within depth {depth}")
+    levels = (depth - (h - 1) // b for h in highs)  # the first differing level, plus 1
+    return DistanceTable(pts, zip(combinations(pts, 2), zip(repeat(1), levels)))
 
 
 @dataclass(frozen=True)
@@ -367,11 +383,10 @@ class UltrametricReport:
 def verify_ultrametric(table: DistanceTable) -> UltrametricReport:
     """Strong triangle inequality plus the two-largest-sides-equal property.
 
-    An ultrametric on n points is a merge tree, so its table holds at most n
-    distinct entries, 0 and one height per merge (Johnson 1967).  Within that
-    bound the table is an ultrametric exactly when every radius of the ball sweep
-    is centered (see ``_centered``).  Only a failure scans the triples, to name
-    the first failures.
+    An ultrametric on n points is a merge tree, so its table holds at most n distinct
+    entries, 0 and one height per merge (Johnson 1967).  Within that bound the table is an
+    ultrametric exactly when every radius of the ball sweep is centered (see ``_centered``).
+    Only a failure scans the triples, to name the first failures.
     """
     if (len(table._entries) <= len(table.rows)
             and all(_centered(balls) for _, balls in _ball_sweep(table))):
@@ -380,28 +395,38 @@ def verify_ultrametric(table: DistanceTable) -> UltrametricReport:
 
 
 def _first_failing_triples(table: DistanceTable) -> UltrametricReport:
-    """Scan i < j < k in order for the first failure of each property."""
+    """Scan i < j < k in order for the first failure of each property: per pair, six packed
+    compares over the fields k > j mark each failing k, and the lowest guard is the first."""
     strong = isosceles = PropertyCheck.ok()
     pts, m, q, n = table.points, table.rows, table._frac, len(table.points)
+    w, ones, guards, packed = table._packed
     # with at most two distances no side triple is all distinct: stop at the first strong failure
     few = len(table._entries) <= 3
+    ones_at, guards_at = cache(ones.__rshift__), cache(guards.__rshift__)  # shifted on first use
     for i, row_i in enumerate(m):
-        for j in range(i + 1, n):
-            row_j, dij = m[j], row_i[j]
-            for k in range(j + 1, n):
-                dik, djk = row_i[k], row_j[k]
-                sides = sorted([(dij, pts[i], pts[j]), (dik, pts[i], pts[k]),
-                                (djk, pts[j], pts[k])], key=lambda t: t[0])
-                if strong.passed and sides[2][0] > sides[1][0]:
-                    v, x, y = sides[2]
-                    strong = PropertyCheck.fail(
-                        f"d({x}, {y}) = {q(v)} > max of the other two sides = {q(sides[1][0])}")
-                if isosceles.passed and len({dij, dik, djk}) == 3:
-                    isosceles = PropertyCheck.fail(
-                        f"all three sides differ on ({pts[i]}, {pts[j]}, {pts[k]}): "
-                        f"{q(dij)}, {q(dik)}, {q(djk)}")
-                if not strong.passed and (few or not isosceles.passed):
-                    return UltrametricReport(strong, isosceles)
+        for j in range(i + 1, n - 1):
+            s = (j + 1) * w  # the fields k > j, shifted down to field 0
+            a, b, d, g = packed(i) >> s, packed(j) >> s, row_i[j] * ones_at(s), guards_at(s)
+            # field by field, the guards where x >= y
+            a_d, d_a, b_d, d_b, a_b, b_a = (((x | g) - y) & g for x, y in (
+                (a, d), (d, a), (b, d), (d, b), (a, b), (b, a)))
+            # a unique largest side is above both others; three distinct sides tie nowhere
+            tops = g ^ ((a_d | b_d) & (d_a | b_a) & (d_b | a_b))
+            distinct = g ^ ((a_d & d_a) | (b_d & d_b) | (a_b & b_a))
+            if strong.passed and tops:
+                k = _low(tops) // w + j + 1
+                sides = sorted([(row_i[j], pts[i], pts[j]), (row_i[k], pts[i], pts[k]),
+                                (m[j][k], pts[j], pts[k])], key=lambda t: t[0])
+                v, x, y = sides[2]
+                strong = PropertyCheck.fail(
+                    f"d({x}, {y}) = {q(v)} > max of the other two sides = {q(sides[1][0])}")
+            if isosceles.passed and distinct:
+                k = _low(distinct) // w + j + 1
+                isosceles = PropertyCheck.fail(
+                    f"all three sides differ on ({pts[i]}, {pts[j]}, {pts[k]}): "
+                    f"{q(row_i[j])}, {q(row_i[k])}, {q(m[j][k])}")
+            if not strong.passed and (few or not isosceles.passed):
+                return UltrametricReport(strong, isosceles)
     return UltrametricReport(strong, isosceles)
 
 

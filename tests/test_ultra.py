@@ -1,9 +1,10 @@
 """Tests for the finite-model partition/ultrametric laboratory."""
 
+import json
 import random
 import re
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 from math import gcd
 
 import pytest
@@ -42,7 +43,8 @@ from bairecf import (
     verify_base_equality,
     verify_ultrametric,
 )
-from bairecf.ultra import _ball_sweep, _balls, _select
+from bairecf.cli import run
+from bairecf.ultra import _ball_sweep, _balls, _first_failing_triples, _select
 
 
 def _table(points, triples):
@@ -97,24 +99,26 @@ def test_finite_space_requires_triangle_inequality():
     )
 
 
+def _triangle_outcome(table):
+    """The error ``FiniteSpace`` must raise on table's distances, from the oracle, or None."""
+    bad = triangle_failure(table)
+    if bad is None:
+        return None
+    x, y, z = bad
+    return (ValueError, f"triangle inequality fails: d({x!r}, {y!r}) = {table.d(x, y)} > "
+            f"d({x!r}, {z!r}) + d({z!r}, {y!r}) = {table.d(x, z)} + {table.d(z, y)}", None)
+
+
 def test_finite_space_reports_first_failing_triple():
     rng = random.Random(3131)
     failures = 0
     for _ in range(300):
         table = _random_table(rng, rng.randint(1, 8))
-        bad = triangle_failure(table)
         dist = {(x, y): table.d(x, y) for x, y in table.pairs()}
-        if bad is None:
-            FiniteSpace(table.points, dist)
-            continue
-        failures += 1
-        x, y, z = bad
-        with pytest.raises(ValueError) as exc:
-            FiniteSpace(table.points, dist)
-        assert str(exc.value) == (
-            f"triangle inequality fails: d({x!r}, {y!r}) = {table.d(x, y)} > "
-            f"d({x!r}, {z!r}) + d({z!r}, {y!r}) = {table.d(x, z)} + {table.d(z, y)}"
-        )
+        want = _triangle_outcome(table)
+        assert _outcome(lambda: FiniteSpace(table.points, dist).same_table(table)) == (
+            True if want is None else want)
+        failures += want is not None
     assert 0 < failures < 300
 
 
@@ -585,6 +589,8 @@ def test_reports_match_fraction_oracles():
         assert table._entries == sorted({v for row in table.rows for v in row})
         um = verify_ultrametric(table)
         assert um == ultrametric_scan_oracle(table), (kind, table.as_json())
+        # the packed witness on every table, passing or not, the empty one too
+        assert _first_failing_triples(table) == um, (kind, table.as_json())
         assert verify_ball_properties(table) == ball_report_oracle(table), (kind, table.as_json())
         # each ball is the ball of all its members, at every radius, exactly on ultrametrics
         centered = all(balls[j] == ball for _, balls in _ball_sweep(table)
@@ -593,17 +599,9 @@ def test_reports_match_fraction_oracles():
         # a merge tree has one height per merge, the bound the verdict counts against
         assert not um.all_passed or len(table.values()) <= max(len(ids) - 1, 0)
         verdicts[kind].add(um.all_passed)
-        bad = triangle_failure(table)
-        if bad is None:
-            assert FiniteSpace(ids, dist).same_table(table)
-            continue
-        x, y, z = bad
-        with pytest.raises(ValueError) as exc:
-            FiniteSpace(ids, dist)
-        assert str(exc.value) == (
-            f"triangle inequality fails: d({x!r}, {y!r}) = {table.d(x, y)} > "
-            f"d({x!r}, {z!r}) + d({z!r}, {y!r}) = {table.d(x, z)} + {table.d(z, y)}"
-        )
+        want = _triangle_outcome(table)
+        assert _outcome(lambda: FiniteSpace(ids, dist).same_table(table)) == (
+            True if want is None else want), (kind, table.as_json())
     assert verdicts["tree"] == {True}
     assert verdicts["perturbed"] == verdicts["arbitrary"] == {True, False}
 
@@ -633,7 +631,10 @@ def test_ball_radius_boundaries():
 
 def test_verify_ultrametric_tied_and_tiny_tables():
     for n, dist in ((0, {}), (1, {}), (2, {(0, 1): 2})):
-        assert verify_ultrametric(DistanceTable(range(n), dist)).all_passed
+        tiny = DistanceTable(range(n), dist)
+        assert verify_ultrametric(tiny).all_passed and _first_failing_triples(tiny).all_passed
+        # past the largest entry every ball is the whole space, and the empty one is empty
+        assert _balls(tiny, Fraction(3)) == [(1 << n) - 1] * n
     # every edge tied: any spanning tree is minimal
     equal = DistanceTable(range(5), {(i, j): 3 for i in range(5) for j in range(i + 1, 5)})
     assert verify_ultrametric(equal).all_passed
@@ -660,7 +661,7 @@ def test_verify_ultrametric_tied_and_tiny_tables():
     assert not verify_ultrametric(late).all_passed
 
 
-def test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan(monkeypatch):
+def test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan(monkeypatch, tmp_path):
     # d(0, 1) raised above every height of a distinct-height merge tree: n distinct
     # distances, one more than a merge tree has, so no sweep is needed to refuse it
     def refuse(table):
@@ -674,11 +675,20 @@ def test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan(monkeypatch):
             patch.setattr(ultra, "_ball_sweep", refuse)
             assert verify_ultrametric(raised) == ultrametric_scan_oracle(raised)
             assert not verify_ultrametric(raised).all_passed
+        # both properties fail on (0, 1, 2), so the scan packs rows 0 and 1 alone
+        assert raised._packed[3].cache_info().currsize == 2
         # the unraised tree is within the bound, and the sweep alone passes it: the
         # triple scan would mask a sweep that refuses an ultrametric
+        # nor does a passing table build packed rows, through the library or the CLI
+        passing = DistanceTable(range(n), tree)
+        path = tmp_path / f"tree{n}.json"
+        path.write_text(json.dumps(passing.as_json()), encoding="utf-8")
         with monkeypatch.context() as patch:
             patch.setattr(ultra, "_first_failing_triples", refuse)
-            assert verify_ultrametric(DistanceTable(range(n), tree)).all_passed
+            patch.setattr(ultra.DistanceTable, "_packed", property(refuse))
+            assert verify_ultrametric(passing).all_passed
+            assert verify_ball_properties(passing).all_passed
+            assert run(["ultra", "verify", str(path)]).exit_code == 0
 
 
 def _primes_below(limit):
@@ -980,3 +990,65 @@ def test_unhashable_ids_are_named():
     for dist in ("ab", {}, None):
         with pytest.raises(ValueError, match="^dist must be a list of rows$"):
             table_from_json({"points": ["a", "b"], "dist": dist})
+
+
+# --- packed rows: the metric check, the balls and the witness against the oracles ---
+
+
+def _edge_tables(rng):
+    """Integer tables whose largest entry is 2^k - 1 or 2^k, the edge of a field width,
+    with entries near half of it, so two-entry sums cross a power of two, and with ties."""
+    for k in range(1, 7):
+        for top in (2**k - 1, 2**k):
+            pool = sorted({1, top // 2, top // 2 + 1, top - 1, top} - {0})
+            # equilateral at the top, and two top sides over a short one: sums 2 * top
+            yield DistanceTable("abc", dict.fromkeys(combinations("abc", 2), top))
+            yield DistanceTable("abc", {("a", "b"): 1, ("a", "c"): top, ("b", "c"): top})
+            for _ in range(30):
+                n = rng.randint(0, 7)
+                dist = {pair: rng.choice(pool) for pair in combinations(range(n), 2)}
+                if dist:
+                    dist[rng.choice(sorted(dist))] = top
+                yield DistanceTable(range(n), dist)
+
+
+def test_packed_checks_match_oracles_at_the_field_width_edge():
+    rng = random.Random(2718)
+    verdicts, small = set(), 0
+    for table in _edge_tables(rng):
+        dist = {(x, y): table.d(x, y) for x, y in table.pairs()}
+        want = _triangle_outcome(table)
+        assert _outcome(lambda: FiniteSpace(table.points, dist).same_table(table)) == (
+            True if want is None else want), table.as_json()
+        verdicts.add(want is None)
+        small += len(table.points) <= 3
+        assert _first_failing_triples(table) == ultrametric_scan_oracle(table), table.as_json()
+        # c = 0, inside, at the largest entry, one past it and far past the field width
+        top = max(table.values(), default=0)
+        for c in {0, 1, top // 2, top, top + 1, 4 * top + 5, 10**6}:
+            r = Fraction(c, table.scale)
+            for x, ball in zip(table.points, _balls(table, r)):
+                assert set(_select(table.points, ball)) == open_ball(table, x, r), (c, x)
+    assert verdicts == {True, False} and small > 50
+
+
+def _raised_tree(n):
+    """Balanced merge tree over range(n), n a power of two, each merge one height above
+    the last, with d(0, 1), the first merge, raised above every other distance: only
+    the strong inequality fails, and no triple has three distinct sides."""
+    dist, heights = {}, count(1)
+    for size in (2**e for e in range(1, n.bit_length())):
+        for lo in range(0, n, size):
+            h, mid = next(heights), lo + size // 2
+            dist.update({(x, y): h for x in range(lo, mid) for y in range(mid, lo + size)})
+    return DistanceTable(range(n), {**dist, (0, 1): next(heights)})
+
+
+def test_raised_merge_tree_witness_matches_the_scan_oracle():
+    raised = _raised_tree(64)
+    assert len(raised.values()) == 63
+    rep = verify_ultrametric(raised)
+    assert rep == ultrametric_scan_oracle(raised)
+    assert rep.strong_triangle.counterexample == (
+        "d(0, 1) = 64 > max of the other two sides = 33")
+    assert rep.isosceles.passed

@@ -79,6 +79,36 @@ MUTANTS = [
             ULTRA + "test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan")),
     Mutant("ultra.py", "few = len(table._entries) <= 3", "few = len(table._entries) <= 4",
            (ULTRA + "test_reports_match_fraction_oracles",)),
+    # packed rows: each field w = bits(2 * largest) + 1 wide under a guard bit, and the
+    # lowest marked guard names the first k
+    Mutant("ultra.py", "(2 * (self._entries or [0])[-1]).bit_length() + 1",
+           "(2 * (self._entries or [0])[-1]).bit_length()",
+           (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",)),
+    Mutant("ultra.py", "((packed(i) + packed(j)) | guards)", "(packed(i) + packed(j))",
+           (ULTRA + "test_finite_space_reports_first_failing_triple",
+            ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge")),
+    Mutant("ultra.py", "(((x | g) - y) & g for", "((x - y) & g for",
+           (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",
+            ULTRA + "test_reports_match_fraction_oracles")),
+    Mutant("ultra.py", "((p | guards) - c * ones & guards)", "(p - c * ones & guards)",
+           (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",
+            ULTRA + "test_ball_radius_boundaries")),
+    Mutant("ultra.py", "pts[_low(guards ^ kept) // w]", "pts[_low(guards ^ kept) // w - 1]",
+           (ULTRA + "test_finite_space_reports_first_failing_triple",
+            ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge")),
+    Mutant("ultra.py", "k = _low(tops) // w + j + 1", "k = _low(tops) // w + j",
+           (ULTRA + "test_raised_merge_tree_witness_matches_the_scan_oracle",
+            ULTRA + "test_reports_match_fraction_oracles")),
+    Mutant("ultra.py", "k = _low(distinct) // w + j + 1", "k = _low(distinct) // w + j + 2",
+           (ULTRA + "test_reports_match_fraction_oracles",)),
+    # a radius past every entry stops one above the largest, inside the field width
+    Mutant("ultra.py", "c = min(-(-r.numerator * table.scale // r.denominator), "
+           "(table._entries or [0])[-1] + 1)", "c = -(-r.numerator * table.scale // r.denominator)",
+           (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",)),
+    # a pair's first differing level is the field of the XOR's highest set bit
+    Mutant("ultra.py", "depth - (h - 1) // b", "depth - h // b",
+           (ULTRA + "test_separation_levels_match_pair_oracle",
+            ULTRA + "test_ultrametric_from_covers_examples")),
     # base equality, the empty space and unhashable points
     Mutant("ultra.py",
            '        raise RuntimeError(f"internal error: {odd} is a ball or a block, not both")',
