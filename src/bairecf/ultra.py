@@ -13,8 +13,8 @@ covers is a theorem, so its failure is an internal error.
 Everything from the input to the verdict is an int.  ``table_from_json`` reads each
 ``"p/q"`` as a reduced (numerator, denominator) pair, and a table is one integer matrix
 over the lcm of its denominators, so d < r exactly when d * scale < ceil(r * scale).  The
-metric check, the peel's balls and the failure witness read its rows packed one int a
-row, a guard bit atop each entry's field, and compare whole rows in a few int operations.
+metric check (on capped entries), the peel's balls and the failure witness (on ranks) read
+rows packed one int a row, a guard bit atop each field, a few int operations a row.
 A ball or a peeled piece is a mask with bit k for ``points[k]``, whose lowest set bit is
 its smallest member; a cover sequence has frozenset blocks and one digit list per point.
 ``Fraction``s are made only for answers, messages and the JSON payloads.  JSON inputs past
@@ -25,13 +25,16 @@ and so is an empty space.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import accumulate, chain, combinations, compress, islice, pairwise, repeat, starmap
 from math import gcd, lcm
-from operator import eq, or_, xor
+from operator import add, eq, or_, xor
+from sys import byteorder
 
 from .baire import BairePrefix
 from .rational import parse_rational, rational_pairs
@@ -39,6 +42,7 @@ from .report import PropertyCheck
 
 MAX_POINTS = 800
 MAX_MATRIX_BITS = 1 << 25
+_CAP_BITS = 62  # entries the metric check packs: two fit below a 64-bit field's guard
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -75,6 +79,15 @@ def _select(items: Sequence, mask: int) -> list:
 def _low(mask: int) -> int:
     """Position of the lowest set bit: the smallest member of a point set."""
     return (mask & -mask).bit_length() - 1
+
+
+def _fields(bits: int, n: int) -> tuple[int, int, int, Callable[[Iterable[int]], int]]:
+    """(w, ONES, G, pack) for n fields as wide as the narrowest array item of at least bits
+    bits: a 1 in each field, the top bit of each, its guard, and pack(row), entry k in field k."""
+    code = next(c for c in "BHILQ" if 8 * array(c).itemsize >= bits)
+    w = 8 * array(code).itemsize
+    ones = ((1 << w * n) - 1) // ((1 << w) - 1)
+    return w, ones, ones << w - 1, lambda row: int.from_bytes(array(code, row), byteorder)
 
 
 class DistanceTable:
@@ -135,13 +148,13 @@ class DistanceTable:
         self._entries: list[int] = sorted(set(chain.from_iterable(rows)))  # distinct, 0 first
 
     @cached_property
-    def _packed(self) -> tuple[int, int, int, Callable[[int], int]]:
-        """(w, ONES, G, packed), built on first use: packed(i) is row i as one int, made at its
-        first call, whose bits k*w to k*w + w - 2 hold rows[i][k], or two entries' sum, below
-        field k's guard bit; G holds every guard and ONES a 1 in every field."""
-        w, n, rows = (2 * (self._entries or [0])[-1]).bit_length() + 1, len(self.rows), self.rows
-        ones, fields = ((1 << w * n) - 1) // ((1 << w) - 1), f"{{:0{w}b}}" * n
-        return w, ones, ones << w - 1, cache(lambda i: int(fields.format(*rows[i][::-1]), 2))
+    def _packed(self) -> tuple[int, int, int, Callable[[int], int], dict[int, int]]:
+        """(w, ONES, G, packed, rank), built on first use: packed(i), made at its first call, is
+        row i as one int whose bits k*w to k*w + w - 2 hold rows[i][k]'s rank among the distinct
+        entries, under field k's guard bit.  Ranks compare as the entries, however wide."""
+        rank = {v: r for r, v in enumerate(self._entries)}
+        w, ones, guards, pack = _fields(len(rank).bit_length() + 1, len(self.rows))
+        return w, ones, guards, cache(lambda i: pack(map(rank.__getitem__, self.rows[i]))), rank
 
     def _frac(self, v: int) -> Fraction:
         return Fraction(v, self.scale)
@@ -171,13 +184,19 @@ class FiniteSpace(DistanceTable):
 
     def __init__(self, points: Iterable, distances):
         super().__init__(points, distances)
-        pts, m, (w, ones, guards, packed) = self.points, self.rows, self._packed
+        pts, m, n, es = self.points, self.rows, len(self.points), self._entries or [0]
+        # fields hold entries capped at 2^(w-2) - 1, w set by the largest entry within _CAP_BITS:
+        # a capped sum is exact for d_ij up to the cap, and a pair past it is read entry by entry
+        w, ones, g, pack = _fields(es[bisect_left(es, 1 << _CAP_BITS) - 1].bit_length() + 2, n)
+        cap = (1 << w - 2) - 1
+        packed = list(map(pack, m if es[-1] <= cap else ([min(v, cap) for v in r] for r in m)))
         for i, row_i in enumerate(m):
-            for j in range(i + 1, len(pts)):
-                # field k's guard clears when d_ik + d_jk < d_ij, which needs k != i, j
-                kept = ((packed(i) + packed(j)) | guards) - row_i[j] * ones & guards
-                if kept != guards:
-                    x, y, z = pts[i], pts[j], pts[_low(guards ^ kept) // w]
+            for j, d in enumerate(row_i[i + 1:], i + 1):
+                # field k's guard clears when d_ik + d_jk < d, which needs k != i, j
+                k = (next(compress(range(n), map(d.__gt__, map(add, row_i, m[j]))), -1) if d > cap
+                     else _low(g ^ ((packed[i] + packed[j]) | g) - d * ones & g) // w)
+                if k >= 0:
+                    x, y, z = pts[i], pts[j], pts[k]
                     raise ValueError(
                         f"triangle inequality fails: d({x!r}, {y!r}) = {self.d(x, y)} > "
                         f"d({x!r}, {z!r}) + d({z!r}, {y!r}) = {self.d(x, z)} + {self.d(z, y)}")
@@ -312,11 +331,11 @@ def covers_from_json(obj) -> CoverSequence:
 
 
 def _balls(table: DistanceTable, r: Fraction) -> list[int]:
-    """Every point's open ball of radius r as a mask: the entries below c = ceil(r * scale),
-    whose guards clear in (row | G) - c * ONES, with c at most one past the largest entry."""
-    w, ones, guards, packed = table._packed
-    c = min(-(-r.numerator * table.scale // r.denominator), (table._entries or [0])[-1] + 1)
-    return [int(bin((guards ^ ((p | guards) - c * ones & guards)) >> w - 1)[:1:-1][::w][::-1], 2)
+    """Every point's open ball of radius r as a mask: the entries below ceil(r * scale), the
+    t smallest distinct entries, whose rank guards clear in (row | G) - t * ONES."""
+    w, ones, guards, packed, _ = table._packed
+    t = bisect_left(table._entries, -(-r.numerator * table.scale // r.denominator))
+    return [int(bin((guards ^ ((p | guards) - t * ones & guards)) >> w - 1)[:1:-1][::w][::-1], 2)
             for p in map(packed, range(len(table.rows)))]
 
 
@@ -399,14 +418,14 @@ def _first_failing_triples(table: DistanceTable) -> UltrametricReport:
     compares over the fields k > j mark each failing k, and the lowest guard is the first."""
     strong = isosceles = PropertyCheck.ok()
     pts, m, q, n = table.points, table.rows, table._frac, len(table.points)
-    w, ones, guards, packed = table._packed
+    w, ones, guards, packed, rank = table._packed
     # with at most two distances no side triple is all distinct: stop at the first strong failure
     few = len(table._entries) <= 3
-    ones_at, guards_at = cache(ones.__rshift__), cache(guards.__rshift__)  # shifted on first use
     for i, row_i in enumerate(m):
+        o, g = ones >> (i + 1) * w, guards >> (i + 1) * w
         for j in range(i + 1, n - 1):
-            s = (j + 1) * w  # the fields k > j, shifted down to field 0
-            a, b, d, g = packed(i) >> s, packed(j) >> s, row_i[j] * ones_at(s), guards_at(s)
+            s, o, g = (j + 1) * w, o >> w, g >> w  # the fields k > j, shifted down to field 0
+            a, b, d = packed(i) >> s, packed(j) >> s, rank[row_i[j]] * o
             # field by field, the guards where x >= y
             a_d, d_a, b_d, d_b, a_b, b_a = (((x | g) - y) & g for x, y in (
                 (a, d), (d, a), (b, d), (d, b), (a, b), (b, a)))

@@ -996,20 +996,30 @@ def test_unhashable_ids_are_named():
 
 
 def _edge_tables(rng):
-    """Integer tables whose largest entry is 2^k - 1 or 2^k, the edge of a field width,
-    with entries near half of it, so two-entry sums cross a power of two, and with ties."""
-    for k in range(1, 7):
+    """Integer tables at the edges of the field widths, 8, 16, 32 and 64 bits: the largest
+    entry 2^k - 1 or 2^k, with entries near half of it, so two-entry sums cross a power of
+    two, and with ties; and 127 to 129 or 255 to 257 distinct entries, 0 among them, so the
+    largest rank is at the edge of a byte."""
+    for k in (*range(1, 8), 14, 15, 30, 31, 62, 63, 64):
         for top in (2**k - 1, 2**k):
             pool = sorted({1, top // 2, top // 2 + 1, top - 1, top} - {0})
             # equilateral at the top, and two top sides over a short one: sums 2 * top
             yield DistanceTable("abc", dict.fromkeys(combinations("abc", 2), top))
             yield DistanceTable("abc", {("a", "b"): 1, ("a", "c"): top, ("b", "c"): top})
-            for _ in range(30):
+            for _ in range(30 if k < 8 else 10):
                 n = rng.randint(0, 7)
                 dist = {pair: rng.choice(pool) for pair in combinations(range(n), 2)}
                 if dist:
                     dist[rng.choice(sorted(dist))] = top
                 yield DistanceTable(range(n), dist)
+    for distinct in (127, 128, 129, 255, 256, 257):
+        pairs = list(combinations(range(24), 2))
+        rng.shuffle(pairs)
+        # every value 1 .. distinct - 1 once, then repeats of them
+        values = list(range(1, distinct)) + [rng.randrange(1, distinct) for _ in pairs]
+        table = DistanceTable(range(24), zip(pairs, values))
+        assert len(table._entries) == distinct
+        yield table
 
 
 def test_packed_checks_match_oracles_at_the_field_width_edge():
@@ -1023,13 +1033,46 @@ def test_packed_checks_match_oracles_at_the_field_width_edge():
         verdicts.add(want is None)
         small += len(table.points) <= 3
         assert _first_failing_triples(table) == ultrametric_scan_oracle(table), table.as_json()
-        # c = 0, inside, at the largest entry, one past it and far past the field width
-        top = max(table.values(), default=0)
-        for c in {0, 1, top // 2, top, top + 1, 4 * top + 5, 10**6}:
+        # c = 0, at entries and one past them, and far past the largest
+        cs = sorted({0, 2**70, *table._entries, *(v + 1 for v in table._entries)})
+        for c in cs[::len(cs) // 24 + 1] + cs[-3:]:
             r = Fraction(c, table.scale)
             for x, ball in zip(table.points, _balls(table, r)):
                 assert set(_select(table.points, ball)) == open_ball(table, x, r), (c, x)
     assert verdicts == {True, False} and small > 50
+
+
+def test_metric_check_caps_wide_entries(monkeypatch):
+    # fields of w bits, 8 to 64, set by the largest entry within _CAP_BITS: entries past
+    # 2^(w-2) - 1 are capped, and a pair past the cap is read entry by entry
+    rng = random.Random(1414)
+    for table in _edge_tables(rng):
+        dist = {(x, y): table.d(x, y) for x, y in table.pairs()}
+        want = _triangle_outcome(table)
+        for bits in (0, 14, 30):
+            monkeypatch.setattr(ultra, "_CAP_BITS", bits)
+            assert _outcome(lambda: FiniteSpace(table.points, dist).same_table(table)) == (
+                True if want is None else want), (bits, table.as_json())
+    monkeypatch.undo()
+    # one point 10^4000 - 1 from the others, past the cap, while ranks keep the balls' and
+    # the witness's fields a byte wide
+    wide, n = 10**4000 - 1, 24
+    assert wide.bit_length() > ultra._CAP_BITS
+    near = {pair: 1 + (pair[1] - pair[0]) % 2 for pair in combinations(range(n), 2)}
+    for dist, want in (
+            ({**near, **{(0, j): wide for j in range(1, n)}}, None),
+            ({**near, **{(j, n - 1): wide for j in range(n - 1)}}, None),
+            ({**near, (0, 1): wide, **{(0, j): wide - 5 for j in range(2, n)}}, (0, 1, 2)),
+            ({**near, (1, 2): 4, **{(0, j): wide for j in range(1, n)}}, (1, 2, 3))):
+        table = DistanceTable(range(n), dist)
+        if want is None:
+            assert FiniteSpace(range(n), dist).same_table(table)
+        else:
+            assert triangle_failure(table) == want
+            assert _outcome(lambda: FiniteSpace(range(n), dist)) == _triangle_outcome(table)
+        assert table._packed[0] == 8
+    assert _triangle_outcome(table)[1] == (
+        "triangle inequality fails: d(1, 2) = 4 > d(1, 3) + d(3, 2) = 1 + 2")
 
 
 def _raised_tree(n):

@@ -79,32 +79,42 @@ MUTANTS = [
             ULTRA + "test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan")),
     Mutant("ultra.py", "few = len(table._entries) <= 3", "few = len(table._entries) <= 4",
            (ULTRA + "test_reports_match_fraction_oracles",)),
-    # packed rows: each field w = bits(2 * largest) + 1 wide under a guard bit, and the
-    # lowest marked guard names the first k
-    Mutant("ultra.py", "(2 * (self._entries or [0])[-1]).bit_length() + 1",
-           "(2 * (self._entries or [0])[-1]).bit_length()",
+    # packed rows: the metric check's fields, 8 to 64 bits wide, hold two entries capped at
+    # 2^(w-2) - 1 under a guard bit, and a pair past the cap is read entry by entry; the balls
+    # and the witness compare ranks, in fields wider than the largest rank; the lowest marked
+    # guard names the first k
+    Mutant("ultra.py", "cap = (1 << w - 2) - 1", "cap = (1 << w - 1) - 1",
+           (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",
+            ULTRA + "test_metric_check_caps_wide_entries")),
+    Mutant("ultra.py", "m if es[-1] <= cap else", "m if True else",
+           (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",
+            ULTRA + "test_metric_check_caps_wide_entries")),
+    Mutant("ultra.py", "_CAP_BITS = 62", "_CAP_BITS = 63",
            (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",)),
-    Mutant("ultra.py", "((packed(i) + packed(j)) | guards)", "(packed(i) + packed(j))",
+    Mutant("ultra.py", "next(compress(range(n), map(d.__gt__, map(add, row_i, m[j]))), -1)",
+           "-1", (ULTRA + "test_metric_check_caps_wide_entries",)),
+    Mutant("ultra.py", "((packed[i] + packed[j]) | g)", "(packed[i] + packed[j])",
            (ULTRA + "test_finite_space_reports_first_failing_triple",
             ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge")),
+    Mutant("ultra.py", "& g) // w)", "& g) // w - 1)",
+           (ULTRA + "test_finite_space_reports_first_failing_triple",
+            ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge")),
+    Mutant("ultra.py", "len(rank).bit_length() + 1", "len(rank).bit_length()",
+           (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",)),
     Mutant("ultra.py", "(((x | g) - y) & g for", "((x - y) & g for",
            (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",
             ULTRA + "test_reports_match_fraction_oracles")),
-    Mutant("ultra.py", "((p | guards) - c * ones & guards)", "(p - c * ones & guards)",
+    Mutant("ultra.py", "((p | guards) - t * ones & guards)", "(p - t * ones & guards)",
            (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",
             ULTRA + "test_ball_radius_boundaries")),
-    Mutant("ultra.py", "pts[_low(guards ^ kept) // w]", "pts[_low(guards ^ kept) // w - 1]",
-           (ULTRA + "test_finite_space_reports_first_failing_triple",
-            ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge")),
+    Mutant("ultra.py", "t = bisect_left(", "t = __import__('bisect').bisect_right(",
+           (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",
+            ULTRA + "test_ball_radius_boundaries")),
     Mutant("ultra.py", "k = _low(tops) // w + j + 1", "k = _low(tops) // w + j",
            (ULTRA + "test_raised_merge_tree_witness_matches_the_scan_oracle",
             ULTRA + "test_reports_match_fraction_oracles")),
     Mutant("ultra.py", "k = _low(distinct) // w + j + 1", "k = _low(distinct) // w + j + 2",
            (ULTRA + "test_reports_match_fraction_oracles",)),
-    # a radius past every entry stops one above the largest, inside the field width
-    Mutant("ultra.py", "c = min(-(-r.numerator * table.scale // r.denominator), "
-           "(table._entries or [0])[-1] + 1)", "c = -(-r.numerator * table.scale // r.denominator)",
-           (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",)),
     # a pair's first differing level is the field of the XOR's highest set bit
     Mutant("ultra.py", "depth - (h - 1) // b", "depth - h // b",
            (ULTRA + "test_separation_levels_match_pair_oracle",
