@@ -11,10 +11,10 @@ gives all the ball phenomena, so one sweep decides both.  Base equality on separ
 covers is a theorem, so its failure is an internal error.
 
 Everything from the input to the verdict is an int.  ``table_from_json`` reads each
-``"p/q"`` as a reduced (numerator, denominator) pair, and a table is one integer matrix
-over the lcm of its denominators, so d < r exactly when d * scale < ceil(r * scale).  The
-metric check (on capped entries), the peel's balls and the failure witness (on ranks) read
-rows packed one int a row, a guard bit atop each field, a few int operations a row.
+``"p/q"`` as a reduced (numerator, denominator) pair.  A table is its distinct entries over
+the lcm of its denominators (d < r exactly when d * scale < ceil(r * scale)) and a row of
+ranks among them per point, read as one int with a guard bit atop each field, so the balls,
+the witness and the metric check (on capped entries packed from the ranks) compare rows.
 A ball or a peeled piece is a mask with bit k for ``points[k]``, whose lowest set bit is
 its smallest member; a cover sequence has frozenset blocks and one digit list per point.
 ``Fraction``s are made only for answers, messages and the JSON payloads.  JSON inputs past
@@ -26,12 +26,13 @@ and so is an empty space.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cache, cached_property, reduce
-from itertools import accumulate, chain, combinations, compress, islice, pairwise, repeat, starmap
+from functools import cache, reduce
+from itertools import accumulate, chain, combinations, compress, count, pairwise, repeat
 from math import gcd, lcm
 from operator import add, eq, or_, xor
 from sys import byteorder
@@ -81,24 +82,24 @@ def _low(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _fields(bits: int, n: int) -> tuple[int, int, int, Callable[[Iterable[int]], int]]:
-    """(w, ONES, G, pack) for n fields as wide as the narrowest array item of at least bits
-    bits: a 1 in each field, the top bit of each, its guard, and pack(row), entry k in field k."""
+def _fields(bits: int, n: int) -> tuple[str, int, int, int]:
+    """(code, w, ONES, G) for n fields, each the narrowest array item of at least bits bits,
+    row[k] in field k of int.from_bytes(array(code, row), byteorder): a 1 in each, its guard."""
     code = next(c for c in "BHILQ" if 8 * array(c).itemsize >= bits)
     w = 8 * array(code).itemsize
     ones = ((1 << w * n) - 1) // ((1 << w) - 1)
-    return w, ones, ones << w - 1, lambda row: int.from_bytes(array(code, row), byteorder)
+    return code, w, ones, ones << w - 1
 
 
 class DistanceTable:
     """Symmetric table of exact positive distances over a finite id set.
 
-    ``rows[i][j] / scale`` is the distance from ``points[i]`` to ``points[j]``,
-    with ``scale`` the lcm of the denominators; ``index`` maps points to positions.
-    ``distances`` maps pairs, or is (pair, distance) items, to what ``Fraction`` reads.
-    An int pair over a positive denominator is reduced as it is read, and any other
-    tuple is ``Fraction(*tuple)``.  A pair may repeat, in either order, only with the
-    same distance.
+    ``_entries`` holds the distinct distances times ``scale``, the lcm of the denominators,
+    ascending from 0; ``ranks[i][j]`` is the rank among them of the distance from ``points[i]``
+    to ``points[j]``, and ``index`` maps points to positions.  ``distances`` maps pairs, or is
+    (pair, distance) items, to what ``Fraction`` reads.  An int pair over a positive
+    denominator is reduced as it is read, and any other tuple is ``Fraction(*tuple)``.  A pair
+    may repeat, in either order, only with the same distance.
     """
 
     def __init__(self, points: Iterable, distances):
@@ -108,10 +109,10 @@ class DistanceTable:
                 raise ValueError("duplicate point ids")
         except TypeError:
             raise _unhashable(pts) from None
-        self.points: tuple = tuple(sorted(pts, key=_id_key))
-        self.index: dict = {x: i for i, x in enumerate(self.points)}
-        index, n = self.index, len(pts)
-        m: list[list] = [[None] * n for _ in range(n)]  # (numerator, denominator) pairs
+        pts.sort(key=_id_key)
+        index, n = {x: i for i, x in enumerate(pts)}, len(pts)
+        m: list[list] = [[None] * n for _ in range(n)]  # each pair's distance, as its id in ids
+        ids: dict = defaultdict(count().__next__)  # each distinct reduced pair, numbered
         for key, v in distances.items() if isinstance(distances, Mapping) else distances:
             try:
                 x, y = key
@@ -131,52 +132,50 @@ class DistanceTable:
             if v[0] <= 0:
                 raise ValueError(
                     f"distance for ({x!r}, {y!r}) must be positive, got {Fraction(*v)}")
-            row = m[i]
+            row, v = m[i], ids[v]
             if row[j] is not None and row[j] != v:  # reduced pairs: equal exactly when values are
-                x, y = self.points[min(i, j)], self.points[max(i, j)]  # named in table order
+                x, y = pts[min(i, j)], pts[max(i, j)]  # named in table order
                 raise ValueError(f"conflicting distances for ({x!r}, {y!r})")
             row[j] = m[j][i] = v
         for i, row in enumerate(m):
-            row[i] = (0, 1)
+            row[i] = ids[(0, 1)]
             if None in row:
-                y = self.points[row.index(None)]
-                raise ValueError(f"missing distance for ({self.points[i]!r}, {y!r})")
+                raise ValueError(f"missing distance for ({pts[i]!r}, {pts[row.index(None)]!r})")
         # lowest terms: each prime's power in the lcm is whole in some reduced denominator
-        scale = lcm(*{den for row in m for _, den in row})
-        rows = [[num * (scale // den) for num, den in row] for row in m]
-        self.scale, self.rows = scale, rows
-        self._entries: list[int] = sorted(set(chain.from_iterable(rows)))  # distinct, 0 first
+        scale = lcm(*{den for _, den in ids})
+        value = [num * (scale // den) for num, den in ids]
+        rank = {k: r for r, k in enumerate(sorted(range(len(ids)), key=value.__getitem__))}
+        self._fill(pts, scale, sorted(value), (map(rank.__getitem__, row) for row in m))
 
-    @cached_property
-    def _packed(self) -> tuple[int, int, int, Callable[[int], int], dict[int, int]]:
-        """(w, ONES, G, packed, rank), built on first use: packed(i), made at its first call, is
-        row i as one int whose bits k*w to k*w + w - 2 hold rows[i][k]'s rank among the distinct
-        entries, under field k's guard bit.  Ranks compare as the entries, however wide."""
-        rank = {v: r for r, v in enumerate(self._entries)}
-        w, ones, guards, pack = _fields(len(rank).bit_length() + 1, len(self.rows))
-        return w, ones, guards, cache(lambda i: pack(map(rank.__getitem__, self.rows[i]))), rank
+    def _fill(self, points: Sequence, scale: int, entries: list[int], ranks: Iterable):
+        self.points, self.scale, self._entries = tuple(points), scale, entries
+        self.index: dict = {x: i for i, x in enumerate(self.points)}
+        # the rank rows' fields: array items one bit wider than the largest rank
+        self._rank_fields = _fields((len(entries) - 1).bit_length() + 1, len(self.points))
+        self.ranks: list[array] = [array(self._rank_fields[0], list(row)) for row in ranks]
+        return self
 
-    def _frac(self, v: int) -> Fraction:
-        return Fraction(v, self.scale)
+    def _value(self, rank: int) -> Fraction:
+        return Fraction(self._entries[rank], self.scale)
 
     def d(self, x, y) -> Fraction:
-        return self._frac(self.rows[self.index[x]][self.index[y]])
+        return self._value(self.ranks[self.index[x]][self.index[y]])
 
     def pairs(self):
         return combinations(self.points, 2)
 
     def values(self) -> list[Fraction]:
         """Distinct positive distances, ascending."""
-        return list(map(self._frac, self._entries[1:]))
+        return list(map(self._value, range(1, len(self._entries))))
 
     def same_table(self, other: "DistanceTable") -> bool:
-        return (self.points, self.scale, self.rows) == (other.points, other.scale, other.rows)
+        return ((self.points, self.scale, self._entries, self.ranks)
+                == (other.points, other.scale, other._entries, other.ranks))
 
     def as_json(self) -> dict:
-        text = {v: str(self._frac(v)) for v in self._entries}
-        pairs = combinations(zip(self.points, self.rows), 2)
-        return {"points": list(self.points),
-                "dist": [[x, y, text[row[self.index[y]]]] for (x, row), (y, _) in pairs]}
+        text, pts = list(map(str, map(self._value, range(len(self._entries))))), self.points
+        return {"points": list(pts), "dist": [[x, y, text[r]] for i, (x, row) in enumerate(
+            zip(pts, self.ranks)) for y, r in zip(pts[i + 1:], row[i + 1:])]}
 
 
 class FiniteSpace(DistanceTable):
@@ -184,17 +183,21 @@ class FiniteSpace(DistanceTable):
 
     def __init__(self, points: Iterable, distances):
         super().__init__(points, distances)
-        pts, m, n, es = self.points, self.rows, len(self.points), self._entries or [0]
+        pts, n, es = self.points, len(self.points), self._entries or [0]
         # fields hold entries capped at 2^(w-2) - 1, w set by the largest entry within _CAP_BITS:
         # a capped sum is exact for d_ij up to the cap, and a pair past it is read entry by entry
-        w, ones, g, pack = _fields(es[bisect_left(es, 1 << _CAP_BITS) - 1].bit_length() + 2, n)
+        code, w, ones, g = _fields(es[bisect_left(es, 1 << _CAP_BITS) - 1].bit_length() + 2, n)
         cap = (1 << w - 2) - 1
-        packed = list(map(pack, m if es[-1] <= cap else ([min(v, cap) for v in r] for r in m)))
-        for i, row_i in enumerate(m):
+        exact = [list(map(es.__getitem__, row)) for row in self.ranks]  # dropped after the check
+        packed = [int.from_bytes(array(code, row if es[-1] <= cap else [min(v, cap) for v in row]),
+                                 byteorder) for row in exact]
+        for i, row_i in enumerate(exact):
             for j, d in enumerate(row_i[i + 1:], i + 1):
-                # field k's guard clears when d_ik + d_jk < d, which needs k != i, j
-                k = (next(compress(range(n), map(d.__gt__, map(add, row_i, m[j]))), -1) if d > cap
-                     else _low(g ^ ((packed[i] + packed[j]) | g) - d * ones & g) // w)
+                if d > cap:  # entry by entry, looking for k only when one fails
+                    k = (next(compress(range(n), map(d.__gt__, map(add, exact[i], exact[j]))))
+                         if min(map(add, exact[i], exact[j])) < d else -1)
+                else:  # field k's guard clears when d_ik + d_jk < d, which needs k != i, j
+                    k = _low(g ^ ((packed[i] + packed[j]) | g) - d * ones & g) // w
                 if k >= 0:
                     x, y, z = pts[i], pts[j], pts[k]
                     raise ValueError(
@@ -308,12 +311,6 @@ class CoverSequence:
     def depth(self) -> int:
         return len(self.levels)
 
-    def block_index_of(self, level: int, x) -> int:
-        return self._digits[x][level]
-
-    def block_of(self, level: int, x) -> frozenset:
-        return self.levels[level][self._digits[x][level]]
-
     def as_json(self) -> dict:
         return {"levels": [[sorted(b, key=_id_key) for b in blocks] for blocks in self.levels]}
 
@@ -333,10 +330,10 @@ def covers_from_json(obj) -> CoverSequence:
 def _balls(table: DistanceTable, r: Fraction) -> list[int]:
     """Every point's open ball of radius r as a mask: the entries below ceil(r * scale), the
     t smallest distinct entries, whose rank guards clear in (row | G) - t * ONES."""
-    w, ones, guards, packed, _ = table._packed
+    _, w, ones, guards = table._rank_fields
     t = bisect_left(table._entries, -(-r.numerator * table.scale // r.denominator))
-    return [int(bin((guards ^ ((p | guards) - t * ones & guards)) >> w - 1)[:1:-1][::w][::-1], 2)
-            for p in map(packed, range(len(table.rows)))]
+    return [int(bin((guards ^ ((int.from_bytes(row, byteorder) | guards) - t * ones & guards))
+                    >> w - 1)[:1:-1][::w][::-1], 2) for row in table.ranks]
 
 
 def build_cover_sequence(space: FiniteSpace, depth: int) -> CoverSequence:
@@ -347,7 +344,7 @@ def build_cover_sequence(space: FiniteSpace, depth: int) -> CoverSequence:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    pts, rows, positions = space.points, space.rows, range(len(space.points))
+    pts, ranks, positions = space.points, space.ranks, range(len(space.points))
     levels, blocks, members = [], [(1 << len(pts)) - 1], [list(positions)]
     for i in range(depth):
         balls = _balls(space, Fraction(1, 2 ** (i + 2)))
@@ -361,8 +358,8 @@ def build_cover_sequence(space: FiniteSpace, depth: int) -> CoverSequence:
                     pieces.append(balls[center] & rest)
                     rest &= ~pieces[-1]
         blocks, members = pieces, [_select(positions, piece) for piece in pieces]
-        limit = space.scale >> (i + 1)  # an int v > scale / 2^(i+1) exactly when v > limit
-        if any(max(map(rows[a].__getitem__, ms)) > limit for ms in members for a in ms):
+        top = bisect_right(space._entries, space.scale >> (i + 1))  # first rank past 2^-(i+1)
+        if any(max(map(ranks[a].__getitem__, ms)) >= top for ms in members for a in ms):
             raise RuntimeError(f"internal error: level {i} block exceeds diameter 1/{2 << i}")
         levels.append([list(map(pts.__getitem__, ms)) for ms in members])
     return CoverSequence(levels)
@@ -373,17 +370,20 @@ def ultrametric_from_covers(seq: CoverSequence, ground: Iterable) -> DistanceTab
     index at which the two points' digits differ, their sequence-space distance."""
     if frozenset(ground) != seq.ground:
         raise ValueError("ground set does not match the cover sequence")
-    # digits packed one int a point, level 0 highest: a pair first differs at the XOR's top bit
-    pts, b, depth = seq.points, len(seq.points).bit_length(), seq.depth
-    digits = f"{{:0{b}b}}" * depth
-    keys = [int(digits.format(*ds), 2) for ds in seq._digits.values()]
-    highs = list(map(int.bit_length, starmap(xor, combinations(keys, 2))))
-    if 0 in highs:
-        x, y = next(islice(combinations(pts, 2), highs.index(0), None))
+    pts, b, depth, last = seq.points, len(seq.points).bit_length(), seq.depth, seq.levels[-1]
+    if len(last) < len(pts):  # the first pair sharing a block at the last level
+        x, y = sorted(next(block for block in last if len(block) > 1), key=_id_key)[:2]
         raise UnseparatedPairError(
             (x, y), f"points {x!r} and {y!r} are never separated within depth {depth}")
-    levels = (depth - (h - 1) // b for h in highs)  # the first differing level, plus 1
-    return DistanceTable(pts, zip(combinations(pts, 2), zip(repeat(1), levels)))
+    # 1/(k+1) is an entry when level k splits a level-(k-1) block; rank it from the deepest
+    used = [k for k, (a, c) in enumerate(pairwise([1, *map(len, seq.levels)]), 1) if c > a][::-1]
+    scale, digits = lcm(*used), f"{{:0{b}b}}" * depth
+    rank, entries = {k: r for r, k in enumerate(used, 1)}, [0, *(scale // k for k in used)]
+    # each point's digits as b-bit fields, level 0 highest: an XOR's bit length names the split
+    keys = [int(digits.format(*ds), 2) for ds in seq._digits.values()]
+    by_high = [0, *(rank.get(depth - (h - 1) // b, 0) for h in range(1, b * depth + 1))]
+    rows = (map(by_high.__getitem__, map(int.bit_length, map(xor, repeat(k), keys))) for k in keys)
+    return DistanceTable.__new__(DistanceTable)._fill(pts, scale, entries, rows)
 
 
 @dataclass(frozen=True)
@@ -407,7 +407,7 @@ def verify_ultrametric(table: DistanceTable) -> UltrametricReport:
     ultrametric exactly when every radius of the ball sweep is centered (see ``_centered``).
     Only a failure scans the triples, to name the first failures.
     """
-    if (len(table._entries) <= len(table.rows)
+    if (len(table._entries) <= len(table.points)
             and all(_centered(balls) for _, balls in _ball_sweep(table))):
         return UltrametricReport(PropertyCheck.ok(), PropertyCheck.ok())
     return _first_failing_triples(table)
@@ -417,15 +417,15 @@ def _first_failing_triples(table: DistanceTable) -> UltrametricReport:
     """Scan i < j < k in order for the first failure of each property: per pair, six packed
     compares over the fields k > j mark each failing k, and the lowest guard is the first."""
     strong = isosceles = PropertyCheck.ok()
-    pts, m, q, n = table.points, table.rows, table._frac, len(table.points)
-    w, ones, guards, packed, rank = table._packed
+    (_, w, ones, guards), pts, ranks = table._rank_fields, table.points, table.ranks
+    packed, q, n = cache(lambda i: int.from_bytes(ranks[i], byteorder)), table._value, len(pts)
     # with at most two distances no side triple is all distinct: stop at the first strong failure
     few = len(table._entries) <= 3
-    for i, row_i in enumerate(m):
-        o, g = ones >> (i + 1) * w, guards >> (i + 1) * w
+    for i in range(n):
+        row_i, o, g = ranks[i], ones >> (i + 1) * w, guards >> (i + 1) * w
         for j in range(i + 1, n - 1):
             s, o, g = (j + 1) * w, o >> w, g >> w  # the fields k > j, shifted down to field 0
-            a, b, d = packed(i) >> s, packed(j) >> s, rank[row_i[j]] * o
+            a, b, d = packed(i) >> s, packed(j) >> s, row_i[j] * o
             # field by field, the guards where x >= y
             a_d, d_a, b_d, d_b, a_b, b_a = (((x | g) - y) & g for x, y in (
                 (a, d), (d, a), (b, d), (d, b), (a, b), (b, a)))
@@ -435,7 +435,7 @@ def _first_failing_triples(table: DistanceTable) -> UltrametricReport:
             if strong.passed and tops:
                 k = _low(tops) // w + j + 1
                 sides = sorted([(row_i[j], pts[i], pts[j]), (row_i[k], pts[i], pts[k]),
-                                (m[j][k], pts[j], pts[k])], key=lambda t: t[0])
+                                (ranks[j][k], pts[j], pts[k])], key=lambda t: t[0])
                 v, x, y = sides[2]
                 strong = PropertyCheck.fail(
                     f"d({x}, {y}) = {q(v)} > max of the other two sides = {q(sides[1][0])}")
@@ -443,7 +443,7 @@ def _first_failing_triples(table: DistanceTable) -> UltrametricReport:
                 k = _low(distinct) // w + j + 1
                 isosceles = PropertyCheck.fail(
                     f"all three sides differ on ({pts[i]}, {pts[j]}, {pts[k]}): "
-                    f"{q(row_i[j])}, {q(row_i[k])}, {q(m[j][k])}")
+                    f"{q(row_i[j])}, {q(row_i[k])}, {q(ranks[j][k])}")
             if not strong.passed and (few or not isosceles.passed):
                 return UltrametricReport(strong, isosceles)
     return UltrametricReport(strong, isosceles)
@@ -481,13 +481,13 @@ def _ball_sweep(table: DistanceTable):
     """Each radius, in scale units, with every point's open ball as a mask.  The radii,
     the distances ascending and one past the largest, realize every distinct open ball;
     each ball grows by the points at the previous radius."""
-    at = [{} for _ in table.rows]  # per point: distance -> mask of the points at that distance
-    for by_distance, row in zip(at, table.rows):
-        for j, v in enumerate(row):
-            by_distance[v] = by_distance.get(v, 0) | 1 << j
+    at, bits = [{} for _ in table.ranks], [1 << j for j in range(len(table.ranks))]
+    for by_rank, row in zip(at, table.ranks):  # per point: rank -> mask of the points at it
+        for v, bit in zip(row, bits):
+            by_rank[v] = by_rank.get(v, 0) | bit
     values, balls = table._entries, [0] * len(at)
-    for prev, r in zip(values, values[1:] + [v + table.scale for v in values[-1:]]):
-        balls = [ball | by_distance.get(prev, 0) for ball, by_distance in zip(balls, at)]
+    for prev, r in enumerate(values[1:] + [v + table.scale for v in values[-1:]]):
+        balls = [ball | by_rank.get(prev, 0) for ball, by_rank in zip(balls, at)]
         yield r, balls
 
 
@@ -504,11 +504,11 @@ def _centered(balls: list[int]) -> bool:
 def verify_ball_properties(table: DistanceTable) -> BallPropertiesReport:
     """Open-ball behaviour at every radius of the sweep, on an ultrametric table.
 
-    In an ultrametric each open ball is centered at every member, so at each
-    radius the distinct balls partition the space, two balls of one radius
-    coincide or are disjoint, a closed ball (the open ball at the next radius)
-    absorbs the open balls at its members, and balls nest as the radius grows.
-    ``verify_ultrametric`` decides centering, so its verdict gives all five.
+    In an ultrametric each open ball is centered at every member, so at each radius the
+    distinct balls partition the space, two balls of one radius coincide or are disjoint, a
+    closed ball (the open ball at the next radius) absorbs the open balls at its members, and
+    balls nest as the radius grows.  ``verify_ultrametric`` decides centering, so its verdict
+    gives all five.
     """
     um = verify_ultrametric(table)
     check = (PropertyCheck.ok() if um.all_passed

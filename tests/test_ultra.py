@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import chain, combinations, count
 from math import gcd
@@ -165,9 +166,6 @@ def test_cover_sequence_canonical_order_and_lookup():
     assert seq.levels[1] == (frozenset({"a"}), frozenset({"b"}), frozenset({"c"}))
     assert seq.depth == 2
     assert seq.ground == frozenset({"a", "b", "c"})
-    assert seq.block_index_of(0, "b") == 0
-    assert seq.block_index_of(1, "c") == 2
-    assert seq.block_of(0, "c") == frozenset({"c"})
     # the ground set in the table's id order, for mixed int and str ids
     ids = [10, "b", 2, "a", "10", -1]
     seq = CoverSequence([[ids], [[x] for x in ids]])
@@ -219,6 +217,9 @@ def test_build_cover_sequence_names_a_wide_block_as_an_internal_error(monkeypatc
     monkeypatch.setattr(ultra, "_balls", lambda table, r: [(1 << len(table.points)) - 1] * 2)
     with pytest.raises(RuntimeError, match=r"^internal error: level 0 block exceeds diameter 1/2$"):
         build_cover_sequence(_space("ab", [("a", "b", 1)]), 1)
+    # a block of diameter exactly 1/2 is within the bound
+    seq = build_cover_sequence(_space("ab", [("a", "b", Fraction(1, 2))]), 1)
+    assert seq.levels == ((frozenset("ab"),),)
 
 
 def test_build_cover_sequence_rejects_bad_depth():
@@ -586,7 +587,7 @@ def test_reports_match_fraction_oracles():
         ids = _mixed_ids(rng, rng.randint(0, 12))
         dist = _table_kind(rng, kind, ids)
         table = DistanceTable(ids, dist)
-        assert table._entries == sorted({v for row in table.rows for v in row})
+        assert table._entries == sorted({v for row in _rows(table) for v in row})
         um = verify_ultrametric(table)
         assert um == ultrametric_scan_oracle(table), (kind, table.as_json())
         # the packed witness on every table, passing or not, the empty one too
@@ -664,28 +665,37 @@ def test_verify_ultrametric_tied_and_tiny_tables():
 def test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan(monkeypatch, tmp_path):
     # d(0, 1) raised above every height of a distinct-height merge tree: n distinct
     # distances, one more than a merge tree has, so no sweep is needed to refuse it
-    def refuse(table):
+    def refuse(*args):
         raise AssertionError("not reached")
+
+    class Reads(list):  # rank rows that record which rows are read by index
+        def __getitem__(self, i):
+            self.read.add(i)
+            return super().__getitem__(i)
 
     for n in (8, 9, 30):
         tree = _two_sided_tree(n)
         raised = DistanceTable(range(n), {**tree, (0, 1): n})
         assert len(raised.values()) == n
+        want = ultrametric_scan_oracle(raised)
+        raised.ranks = Reads(raised.ranks)
+        raised.ranks.read = set()
         with monkeypatch.context() as patch:
             patch.setattr(ultra, "_ball_sweep", refuse)
-            assert verify_ultrametric(raised) == ultrametric_scan_oracle(raised)
-            assert not verify_ultrametric(raised).all_passed
-        # both properties fail on (0, 1, 2), so the scan packs rows 0 and 1 alone
-        assert raised._packed[3].cache_info().currsize == 2
+            assert verify_ultrametric(raised) == want
+            assert not want.all_passed
+        # both properties fail on (0, 1, 2), so the scan reads rank rows 0 and 1 alone
+        assert raised.ranks.read == {0, 1}
         # the unraised tree is within the bound, and the sweep alone passes it: the
         # triple scan would mask a sweep that refuses an ultrametric
-        # nor does a passing table build packed rows, through the library or the CLI
+        # nor does a passing table read a rank row as one int (the witness, the balls),
+        # through the library or the CLI
         passing = DistanceTable(range(n), tree)
         path = tmp_path / f"tree{n}.json"
         path.write_text(json.dumps(passing.as_json()), encoding="utf-8")
         with monkeypatch.context() as patch:
             patch.setattr(ultra, "_first_failing_triples", refuse)
-            patch.setattr(ultra.DistanceTable, "_packed", property(refuse))
+            patch.setattr(ultra, "_balls", refuse)
             assert verify_ultrametric(passing).all_passed
             assert verify_ball_properties(passing).all_passed
             assert run(["ultra", "verify", str(path)]).exit_code == 0
@@ -698,6 +708,25 @@ def _primes_below(limit):
         if sieve[k]:
             sieve[k * k :: k] = bytearray(len(sieve[k * k :: k]))
     return [k for k in range(limit) if sieve[k]]
+
+
+def test_a_read_table_holds_one_narrow_matrix():
+    # the 400-point line space, d(i, j) = |i - j| / 400, once its parsed JSON is freed:
+    # 399 distinct entries, so each row is 400 ranks of two bytes
+    n = 400
+    text = json.dumps({"points": list(range(n)),
+                       "dist": [[i, j, f"{j - i}/{n}"] for i, j in combinations(range(n), 2)]})
+    tracemalloc.start()
+    try:
+        obj = json.loads(text)
+        table = table_from_json(obj, require_metric=True)
+        del obj
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(table, FiniteSpace) and len(table.values()) == n - 1
+    assert table.ranks[0].itemsize == 2
+    assert held < 1 << 20, held
 
 
 def test_json_budgets_refuse_before_any_table(monkeypatch):
@@ -740,8 +769,13 @@ def _outcome(fn, *args, errors=ValueError):
         return type(e), str(e), getattr(e, "pair", None)
 
 
+def _rows(table):
+    """The matrix of entries, in scale units: each rank row read through ``_entries``."""
+    return [list(map(table._entries.__getitem__, row)) for row in table.ranks]
+
+
 def _as_triple(table):
-    return table.points, table.scale, table.rows
+    return table.points, table.scale, _rows(table)
 
 
 def _value_text(rng, v):
@@ -853,13 +887,13 @@ def test_distance_table_values_match_fraction_oracle():
         table = DistanceTable(ids, items)
         assert _as_triple(table) == table_oracle(ids, items)
         # every form is reduced as it is read, so the matrix is in lowest terms
-        assert gcd(table.scale, *chain.from_iterable(table.rows)) == 1
-        assert table._entries == sorted({v for row in table.rows for v in row})
+        assert gcd(table.scale, *chain.from_iterable(_rows(table))) == 1
+        assert table._entries == sorted({v for row in _rows(table) for v in row})
     # unreduced int pairs: equal to their reduced form, repeated or alone
     half = DistanceTable("ab", [(("a", "b"), (1, 2))])
     assert DistanceTable("ab", [(("a", "b"), (2, 4)), (("b", "a"), (1, 2))]).same_table(half)
     assert DistanceTable("ab", [(("a", "b"), (2, 4))]).same_table(half)
-    assert (half.scale, half.rows) == (2, [[0, 1], [1, 0]])
+    assert (half.scale, _rows(half)) == (2, [[0, 1], [1, 0]])
     got = _outcome(lambda: DistanceTable("ab", [(("a", "b"), (2, 4)), (("b", "a"), (2, 3))]))
     assert got == (ValueError, "conflicting distances for ('a', 'b')", None)
     # pairs no table holds: the same error as the oracle, never a table
@@ -910,6 +944,8 @@ def test_separation_levels_match_pair_oracle():
             assert got == want
             continue
         assert {pair: got.d(*pair) for pair in got.pairs()} == want
+        # the rank rows built from the digits are the generic reader's: scale, entries, ranks
+        assert got.same_table(DistanceTable(ids, want))
         assert verify_base_equality(seq) == base_equality_oracle(seq)
     assert 30 < unseparated < 270
     with pytest.raises(ValueError, match="^need at least one point$"):
@@ -1070,7 +1106,7 @@ def test_metric_check_caps_wide_entries(monkeypatch):
         else:
             assert triangle_failure(table) == want
             assert _outcome(lambda: FiniteSpace(range(n), dist)) == _triangle_outcome(table)
-        assert table._packed[0] == 8
+        assert table.ranks[0].itemsize == 1
     assert _triangle_outcome(table)[1] == (
         "triangle inequality fails: d(1, 2) = 4 > d(1, 3) + d(3, 2) = 1 + 2")
 

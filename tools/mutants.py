@@ -56,10 +56,10 @@ class Equivalent(NamedTuple):
 
 MUTANTS = [
     # the ultrametric verdict: the distinct-entry count, then the centered sweep
-    Mutant("ultra.py", "if (len(table._entries) <= len(table.rows)\n            and ", "if (",
+    Mutant("ultra.py", "if (len(table._entries) <= len(table.points)\n            and ", "if (",
            (ULTRA + "test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan",)),
-    Mutant("ultra.py", "len(table._entries) <= len(table.rows)",
-           "len(table._entries) < len(table.rows)",
+    Mutant("ultra.py", "len(table._entries) <= len(table.points)",
+           "len(table._entries) < len(table.points)",
            (ULTRA + "test_count_refuses_with_no_sweep_and_sweep_passes_with_no_scan",)),
     Mutant("ultra.py", "return all(map(eq, owner, owner.values()))", "return True",
            (ULTRA + "test_verify_ultrametric_tied_and_tiny_tables",
@@ -72,7 +72,7 @@ MUTANTS = [
     # each distance is reduced as it is read, and the table lists its distinct entries once
     Mutant("ultra.py", " or v[1] <= 0 or gcd(*v) != 1):", " or v[1] <= 0):",
            (ULTRA + "test_distance_table_values_match_fraction_oracle",)),
-    Mutant("ultra.py", "self._entries[1:]", "self._entries",
+    Mutant("ultra.py", "range(1, len(self._entries))", "range(len(self._entries))",
            (ULTRA + "test_distance_table_basics",
             ULTRA + "test_ball_sweep_matches_midpoint_oracle",
             ULTRA + "test_reports_match_fraction_oracles",
@@ -80,34 +80,40 @@ MUTANTS = [
     Mutant("ultra.py", "few = len(table._entries) <= 3", "few = len(table._entries) <= 4",
            (ULTRA + "test_reports_match_fraction_oracles",)),
     # packed rows: the metric check's fields, 8 to 64 bits wide, hold two entries capped at
-    # 2^(w-2) - 1 under a guard bit, and a pair past the cap is read entry by entry; the balls
-    # and the witness compare ranks, in fields wider than the largest rank; the lowest marked
-    # guard names the first k
+    # 2^(w-2) - 1 under a guard bit, and a pair past the cap is read entry by entry, looking
+    # for k only when one fails; the balls and the witness read the rank rows, whose items are
+    # one bit wider than the largest rank; the lowest marked guard names the first k
     Mutant("ultra.py", "cap = (1 << w - 2) - 1", "cap = (1 << w - 1) - 1",
            (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",
             ULTRA + "test_metric_check_caps_wide_entries")),
-    Mutant("ultra.py", "m if es[-1] <= cap else", "m if True else",
+    Mutant("ultra.py", "row if es[-1] <= cap else", "row if True else",
            (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",
             ULTRA + "test_metric_check_caps_wide_entries")),
     Mutant("ultra.py", "_CAP_BITS = 62", "_CAP_BITS = 63",
            (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",)),
-    Mutant("ultra.py", "next(compress(range(n), map(d.__gt__, map(add, row_i, m[j]))), -1)",
+    Mutant("ultra.py", "(next(compress(range(n), map(d.__gt__, map(add, exact[i], exact[j]))))\n"
+           "                         if min(map(add, exact[i], exact[j])) < d else -1)",
            "-1", (ULTRA + "test_metric_check_caps_wide_entries",)),
+    # with <=, k = i always passes the filter and the search for a failing k finds none
+    Mutant("ultra.py", "min(map(add, exact[i], exact[j])) < d",
+           "min(map(add, exact[i], exact[j])) <= d",
+           (ULTRA + "test_metric_check_caps_wide_entries",)),
     Mutant("ultra.py", "((packed[i] + packed[j]) | g)", "(packed[i] + packed[j])",
            (ULTRA + "test_finite_space_reports_first_failing_triple",
             ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge")),
-    Mutant("ultra.py", "& g) // w)", "& g) // w - 1)",
+    Mutant("ultra.py", "- d * ones & g) // w\n", "- d * ones & g) // w - 1\n",
            (ULTRA + "test_finite_space_reports_first_failing_triple",
             ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge")),
-    Mutant("ultra.py", "len(rank).bit_length() + 1", "len(rank).bit_length()",
+    Mutant("ultra.py", "(len(entries) - 1).bit_length() + 1", "(len(entries) - 1).bit_length()",
            (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",)),
     Mutant("ultra.py", "(((x | g) - y) & g for", "((x - y) & g for",
            (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",
             ULTRA + "test_reports_match_fraction_oracles")),
-    Mutant("ultra.py", "((p | guards) - t * ones & guards)", "(p - t * ones & guards)",
+    Mutant("ultra.py", "((int.from_bytes(row, byteorder) | guards) - t * ones & guards)",
+           "(int.from_bytes(row, byteorder) - t * ones & guards)",
            (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",
             ULTRA + "test_ball_radius_boundaries")),
-    Mutant("ultra.py", "t = bisect_left(", "t = __import__('bisect').bisect_right(",
+    Mutant("ultra.py", "t = bisect_left(", "t = bisect_right(",
            (ULTRA + "test_packed_checks_match_oracles_at_the_field_width_edge",
             ULTRA + "test_ball_radius_boundaries")),
     Mutant("ultra.py", "k = _low(tops) // w + j + 1", "k = _low(tops) // w + j",
@@ -115,10 +121,17 @@ MUTANTS = [
             ULTRA + "test_reports_match_fraction_oracles")),
     Mutant("ultra.py", "k = _low(distinct) // w + j + 1", "k = _low(distinct) // w + j + 2",
            (ULTRA + "test_reports_match_fraction_oracles",)),
-    # a pair's first differing level is the field of the XOR's highest set bit
+    # a pair's first differing level is the field of the XOR's highest set bit, and its rank
+    # is read from one lookup by that bit's position
     Mutant("ultra.py", "depth - (h - 1) // b", "depth - h // b",
            (ULTRA + "test_separation_levels_match_pair_oracle",
             ULTRA + "test_ultrametric_from_covers_examples")),
+    Mutant("ultra.py", "for h in range(1, b * depth + 1)", "for h in range(b * depth + 1)",
+           (ULTRA + "test_separation_levels_match_pair_oracle",
+            ULTRA + "test_ultrametric_from_covers_examples")),
+    # a piece's diameter may equal 1/2^(i+1): only a rank past that entry is too wide
+    Mutant("ultra.py", "top = bisect_right(", "top = bisect_left(",
+           (ULTRA + "test_build_cover_sequence_names_a_wide_block_as_an_internal_error",)),
     # base equality, the empty space and unhashable points
     Mutant("ultra.py",
            '        raise RuntimeError(f"internal error: {odd} is a ball or a block, not both")',
